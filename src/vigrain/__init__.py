@@ -10,10 +10,9 @@ from .analytic import (ImpactParams, collision_times, contact_phase_duration,
                        contact_phase_position, contact_phase_velocity,
                        exit_speed, impact_position, impact_velocity,
                        impact_velocity_consistent)
-from .contact import (Bond, ContactKinematics, ContactSet, NeighborList, Wall,
-                      build_neighbor_list, create_bonds, detect_contacts,
-                      detect_contacts_brute_force, pair_kinematics,
-                      wall_kinematics)
+from .contact import (ContactSet, NeighborList, build_neighbor_list,
+                      create_bonds, detect_contacts,
+                      detect_contacts_brute_force)
 from .diagnostics import (FrameStats, ensemble_stats, kinetic_energy,
                           mean_kinetic, particle_kinetic, total_energy,
                           total_momentum, velocity_fluctuation)
@@ -26,7 +25,7 @@ from .forces import (STIFFNESS_RATIO, ContactParams, contact_time, dQ_dv,
 from .io import (RunConfig, parse_config, read_trajectory, render_config,
                  write_diagnostics, write_trajectory)
 from .linsolve import BlockSparseMatrix, cg_solve
-from .model import (GeneralizedState, MassMatrix, ParticleSystem,
+from .model import (Bond, GeneralizedState, MassMatrix, ParticleSystem, Wall,
                     assemble_mass_matrix, pack_state, sphere_inertia,
                     unpack_state)
 from .runner import RunResult, run_simulation

@@ -19,7 +19,7 @@ from .errors import VigrainError
 from .forces import contact_time
 from .io import parse_config, write_diagnostics, write_trajectory
 from .runner import run_simulation
-from .scenarios import build_impact, build_scenario
+from .scenarios import SCENARIO_BUILDERS, build_impact, build_scenario
 from .vi import VIConfig, VIIntegrator
 from .model import pack_state
 
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sc = sub.add_parser("scenario", help="run a named experiment")
-    p_sc.add_argument("name", choices=["impact", "walls", "bonded", "box"])
+    p_sc.add_argument("name", choices=list(SCENARIO_BUILDERS))
     p_sc.add_argument("--dy", type=float)
     p_sc.add_argument("--gamma", type=float)
     p_sc.add_argument("--h-frac", type=float, dest="h_frac")

@@ -1,27 +1,25 @@
-"""Contact detection and kinematics.
+"""Contact detection: the rows of the one contact law.
 
 A Verlet neighbor list caches candidate pairs inside a skin margin and
-stays valid until some particle has moved half the skin. Contact
-kinematics follow the soft-sphere convention: overlap delta = d - |r_ij|,
-normal n_ij = r_ij / |r_ij| with r_ij = r_i - r_j, and the relative
-velocity split into a normal part and a tangential part that includes
-the rigid-body surface term from the angular velocities.
+stays valid until some particle has moved half the skin. Every active
+contact becomes one row of a ContactSet and follows the soft-sphere
+convention: overlap delta = d - |r_ij|, normal n_ij = r_ij / |r_ij| and
+lever arm r_ij = r_i - r_j, with the relative velocity split into a
+normal part and a tangential part that includes the rigid-body surface
+term from the angular velocities.
 
-Walls reuse the same formulas with the wall's unit normal standing in
-for r_ij and the wall side frozen (v_j = 0, omega_j = 0, infinite mass).
+A bond is a row with its own stiffness that stays active at any delta.
+A wall is a row whose partner is a frozen ghost body: zero velocity,
+infinite mass (m_eff = m_i), the wall's unit normal for n_ij and
+arm = d_i n, the arm of an equal partner touching at the plane.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularGeometryError, StaleNeighborListError
-from .model import Bond, ParticleSystem, Wall
-
-# Tangential unit vector is left zero below this speed; the damping force
-# itself needs no direction, only the (unused) tangential spring would.
-EPS_TANGENT = 1e-12
+from .linsolve import BLOCK
+from .model import Bond, ParticleSystem
 
 DEFAULT_SKIN_FACTOR = 0.3
 
@@ -69,190 +67,87 @@ class NeighborList:
         self.ref_pos = system.pos.copy()
 
 
-@dataclass(frozen=True)
-class ContactKinematics:
-    """Cached geometry and velocity decomposition of one contact.
-
-    kind is 'pair', 'wall' or 'bond'. For walls, j indexes the wall and
-    arm is the wall normal; for pairs and bonds arm = r_ij.
-    """
-
-    kind: str
-    i: int
-    j: int
-    delta: float
-    normal: np.ndarray
-    arm: np.ndarray
-    v_rel: np.ndarray
-    v_n: np.ndarray
-    v_t: np.ndarray
-    t_dir: np.ndarray
-    m_eff: float
-
-
-def _shared_diameter(d_i: float, d_j: float) -> float:
-    if abs(d_i - d_j) > 1e-12 * max(d_i, d_j):
-        raise ValueError("contact overlap is defined for equal diameters only")
-    return d_i
-
-
-def _split_velocity(v_rel, normal, omega_sum, arm):
-    v_n = (v_rel @ normal) * normal
-    v_t = v_rel - v_n - 0.5 * np.cross(omega_sum, arm)
-    speed_t = np.linalg.norm(v_t)
-    t_dir = v_t / speed_t if speed_t > EPS_TANGENT else np.zeros(3)
-    return v_n, v_t, t_dir
-
-
-def pair_kinematics(system: ParticleSystem, i: int, j: int) -> ContactKinematics:
-    """Overlap, normal and velocity decomposition for a particle pair."""
-    if i == j:
-        raise ValueError("pair kinematics needs two distinct particles")
-    r_ij = system.pos[i] - system.pos[j]
-    dist = np.linalg.norm(r_ij)
-    d = _shared_diameter(system.d[i], system.d[j])
-    if dist < 1e-14 * d:
-        raise SingularGeometryError(f"particles {i} and {j} have coincident centers")
-    normal = r_ij / dist
-    v_rel = system.vel[i] - system.vel[j]
-    v_n, v_t, t_dir = _split_velocity(v_rel, normal, system.omega[i] + system.omega[j], r_ij)
-    m_eff = system.m[i] * system.m[j] / (system.m[i] + system.m[j])
-    return ContactKinematics("pair", i, j, d - dist, normal, r_ij,
-                             v_rel, v_n, v_t, t_dir, m_eff)
-
-
-def wall_kinematics(system: ParticleSystem, i: int, wall: Wall,
-                    wall_index: int = -1) -> ContactKinematics:
-    """Contact kinematics against a half-space wall.
-
-    The wall is infinitely massive and at rest, so m_eff = m_i and the
-    angular term uses omega_i alone; the arm is the wall's unit normal.
-    """
-    dist = float(wall.signed_distance(system.pos[i])[0])
-    delta = 0.5 * system.d[i] - dist
-    normal = wall.normal
-    v_rel = system.vel[i].copy()
-    v_n, v_t, t_dir = _split_velocity(v_rel, normal, system.omega[i], normal)
-    return ContactKinematics("wall", i, wall_index, delta, normal, normal.copy(),
-                             v_rel, v_n, v_t, t_dir, float(system.m[i]))
-
-
-def bond_kinematics(system: ParticleSystem, bond: Bond) -> ContactKinematics:
-    """Pair kinematics for a bonded pair, valid at any separation."""
-    k = pair_kinematics(system, bond.i, bond.j)
-    return ContactKinematics("bond", k.i, k.j, k.delta, k.normal, k.arm,
-                             k.v_rel, k.v_n, k.v_t, k.t_dir, k.m_eff)
-
-
 def create_bonds(system: ParticleSystem, threshold: float | None = None,
                  k_bond: float = 1.0) -> list[Bond]:
     """Bond every pair whose initial |overlap| is below the threshold.
 
     Meant to run once on the initial configuration; default threshold
-    is d/100.
+    is d/100. Bonds come out in lexicographic (i, j) order.
     """
-    bonds = []
-    n = system.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = np.linalg.norm(system.pos[i] - system.pos[j])
-            d = _shared_diameter(system.d[i], system.d[j])
-            thresh = d / 100.0 if threshold is None else threshold
-            if abs(d - r) < thresh:
-                bonds.append(Bond(i, j, k_bond))
-    return bonds
-
-
-# Shared empty buffers for contact-free groups; never mutated, only replaced.
-_EMPTY_V3 = np.empty((0, 3))
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0)
+    d = float(system.d[0])
+    thresh = d / 100.0 if threshold is None else threshold
+    pairs = NeighborList._candidate_pairs(system.pos, system.d, thresh)
+    dist = np.linalg.norm(system.pos[pairs[:, 0]] - system.pos[pairs[:, 1]], axis=1)
+    return [Bond(int(i), int(j), k_bond)
+            for i, j in pairs[np.abs(d - dist) < thresh]]
 
 
 class ContactSet:
-    """All active contacts of a configuration, stored as flat arrays.
+    """All active contacts of a configuration, one row each.
 
-    Three groups: particle-particle Hookean contacts (delta > 0, bonded
-    pairs excluded), particle-wall contacts (delta > 0) and bonds (always
-    active, any delta). Kinematics at the detection velocities are cached;
-    force evaluation recomputes the velocity split for arbitrary velocity
-    vectors against the cached geometry.
+    Row c joins body i[c] to body j[c] with overlap delta, unit normal
+    (pointing from j to i), lever arm, effective mass m_eff and spring
+    constant k. Rows run Hookean pairs (delta > 0, bonded pairs
+    excluded), then bonds (always active, any delta), then walls
+    (delta > 0, ordered by particle and wall). k is 0 on Hookean rows,
+    which take the contact law's k_n, and the bond's own stiffness on
+    bond rows. A wall row's partner j = n_bodies + wall index is a
+    frozen ghost body; per-body arrays get one ghost row per wall, which
+    is dropped once contributions have been summed.
     """
 
-    def __init__(self, n_bodies: int):
+    def __init__(self, n_bodies: int, n_ghosts: int, i, j, delta, normal,
+                 arm, m_eff, k, n_pp: int):
         self.n_bodies = n_bodies
-        self.pp_i = _EMPTY_IDX; self.pp_j = _EMPTY_IDX
-        self.pp_delta = _EMPTY_F; self.pp_normal = _EMPTY_V3
-        self.pp_arm = _EMPTY_V3; self.pp_meff = _EMPTY_F
-        self.pp_vn = _EMPTY_V3; self.pp_vt = _EMPTY_V3
-        self.w_i = _EMPTY_IDX; self.w_idx = _EMPTY_IDX
-        self.w_delta = _EMPTY_F; self.w_normal = _EMPTY_V3
-        self.w_arm = _EMPTY_V3; self.w_meff = _EMPTY_F
-        self.w_vn = _EMPTY_V3; self.w_vt = _EMPTY_V3
-        self.b_i = _EMPTY_IDX; self.b_j = _EMPTY_IDX
-        self.b_delta = _EMPTY_F; self.b_normal = _EMPTY_V3
-        self.b_arm = _EMPTY_V3; self.b_meff = _EMPTY_F; self.b_k = _EMPTY_F
-        self.b_vn = _EMPTY_V3; self.b_vt = _EMPTY_V3
+        self.n_ghosts = n_ghosts
+        self.i, self.j = i, j
+        self.delta, self.normal, self.arm = delta, normal, arm
+        self.m_eff, self.k = m_eff, k
+        self.n_pp = n_pp
+
+    @classmethod
+    def empty(cls, n_bodies: int, n_ghosts: int) -> "ContactSet":
+        idx, f, v3 = np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 3))
+        return cls(n_bodies, n_ghosts, idx, idx, f, v3, v3, f, f, 0)
 
     @property
-    def n_pp(self) -> int:
-        return self.pp_i.size
+    def wall(self) -> np.ndarray:
+        """Row mask of wall contacts."""
+        return self.j >= self.n_bodies
 
     @property
     def n_wall(self) -> int:
-        return self.w_i.size
+        return int(np.count_nonzero(self.wall))
 
     @property
     def n_bond(self) -> int:
-        return self.b_i.size
+        return len(self) - self.n_pp - self.n_wall
 
     def __len__(self) -> int:
-        return self.n_pp + self.n_wall + self.n_bond
+        return self.i.size
 
     def signature(self) -> tuple:
         """Hashable identity of the active set, for cycle detection."""
-        return (tuple(self.pp_i), tuple(self.pp_j), tuple(self.w_i),
-                tuple(self.w_idx), tuple(self.b_i), tuple(self.b_j))
+        return (self.n_pp, tuple(self.i), tuple(self.j))
 
-    def iter_kinematics(self):
-        """Yield per-contact ContactKinematics views (testing convenience)."""
-        for c in range(self.n_pp):
-            sp = np.linalg.norm(self.pp_vt[c])
-            yield ContactKinematics(
-                "pair", int(self.pp_i[c]), int(self.pp_j[c]),
-                float(self.pp_delta[c]), self.pp_normal[c], self.pp_arm[c],
-                self.pp_vn[c] + self.pp_vt[c], self.pp_vn[c], self.pp_vt[c],
-                self.pp_vt[c] / sp if sp > EPS_TANGENT else np.zeros(3),
-                float(self.pp_meff[c]))
-        for c in range(self.n_wall):
-            sp = np.linalg.norm(self.w_vt[c])
-            yield ContactKinematics(
-                "wall", int(self.w_i[c]), int(self.w_idx[c]),
-                float(self.w_delta[c]), self.w_normal[c], self.w_arm[c],
-                self.w_vn[c] + self.w_vt[c], self.w_vn[c], self.w_vt[c],
-                self.w_vt[c] / sp if sp > EPS_TANGENT else np.zeros(3),
-                float(self.w_meff[c]))
-        for c in range(self.n_bond):
-            sp = np.linalg.norm(self.b_vt[c])
-            yield ContactKinematics(
-                "bond", int(self.b_i[c]), int(self.b_j[c]),
-                float(self.b_delta[c]), self.b_normal[c], self.b_arm[c],
-                self.b_vn[c] + self.b_vt[c], self.b_vn[c], self.b_vt[c],
-                self.b_vt[c] / sp if sp > EPS_TANGENT else np.zeros(3),
-                float(self.b_meff[c]))
+    def stiffness(self, k_n: float) -> np.ndarray:
+        """Spring constant of every row, with k_n on the Hookean rows."""
+        return np.where(self.k > 0.0, self.k, k_n)
 
+    def split_velocity(self, velocity: np.ndarray):
+        """Relative velocity of every row at a 6N velocity vector.
 
-def _pair_geometry(pos, d, m, ii, jj):
-    r_ij = pos[ii] - pos[jj]
-    dist = np.linalg.norm(r_ij, axis=1)
-    if np.any(dist < 1e-14 * np.minimum(d[ii], d[jj])):
-        bad = int(np.argmin(dist))
-        raise SingularGeometryError(
-            f"particles {ii[bad]} and {jj[bad]} have coincident centers")
-    normal = r_ij / dist[:, None]
-    delta = 0.5 * (d[ii] + d[jj]) - dist
-    m_eff = m[ii] * m[jj] / (m[ii] + m[jj])
-    return r_ij, dist, normal, delta, m_eff
+        Returns (v_rel, v_n, v_t) with v_rel = v_n + v_t
+        + (1/2)(omega_i + omega_j) x arm; a ghost partner is at rest.
+        """
+        v = np.zeros((self.n_bodies + self.n_ghosts, BLOCK))
+        v[:self.n_bodies] = np.reshape(velocity, (self.n_bodies, BLOCK))
+        vel, omg = v[:, :3], v[:, 3:]
+        v_rel = vel[self.i] - vel[self.j]
+        vn_mag = np.einsum("cd,cd->c", v_rel, self.normal)
+        v_n = vn_mag[:, None] * self.normal
+        v_t = v_rel - v_n - 0.5 * cross_rows(omg[self.i] + omg[self.j], self.arm)
+        return v_rel, v_n, v_t
 
 
 def cross_rows(a, b):
@@ -262,13 +157,6 @@ def cross_rows(a, b):
     out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
     out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
-
-
-def _split_velocity_many(v_rel, normal, omega_sum, arm):
-    vn_mag = np.einsum("cd,cd->c", v_rel, normal)
-    v_n = vn_mag[:, None] * normal
-    v_t = v_rel - v_n - 0.5 * cross_rows(omega_sum, arm)
-    return v_n, v_t
 
 
 def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
@@ -285,57 +173,46 @@ def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
 
 
 def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
-    out = ContactSet(system.n)
-    pos, d, m = system.pos, system.d, system.m
+    n, pos, d, m = system.n, system.pos, system.d, system.m
 
-    bonded = {(b.i, b.j) for b in system.bonds}
-    if nlist.pairs.size:
-        ii, jj = nlist.pairs[:, 0], nlist.pairs[:, 1]
-        r_ij, dist, normal, delta, m_eff = _pair_geometry(pos, d, m, ii, jj)
-        keep = delta > 0.0
-        if bonded:
-            keep &= np.array([(int(a), int(b)) not in bonded for a, b in nlist.pairs])
-        if np.any(keep):
-            out.pp_i, out.pp_j = ii[keep], jj[keep]
-            out.pp_delta = delta[keep]
-            out.pp_normal = normal[keep]
-            out.pp_arm = r_ij[keep]
-            out.pp_meff = m_eff[keep]
-            out.pp_vn, out.pp_vt = _split_velocity_many(
-                system.vel[out.pp_i] - system.vel[out.pp_j], out.pp_normal,
-                system.omega[out.pp_i] + system.omega[out.pp_j], out.pp_arm)
+    # wall rows: the ghost partner of wall w is body n + w
+    normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
+    offsets = np.array([w.point @ w.normal for w in system.walls])
+    wall_delta = 0.5 * d[:, None] - (pos @ normals.T - offsets)  # (n, n_walls)
+    wi, widx = (wall_delta > 0.0).nonzero()  # row-major: sorted by (i, wall)
 
-    if system.walls:
-        normals = np.array([w.normal for w in system.walls])
-        offsets = np.array([w.point @ w.normal for w in system.walls])
-        dist = pos @ normals.T - offsets          # (n, n_walls)
-        delta = 0.5 * d[:, None] - dist
-        w_i, w_idx = np.nonzero(delta > 0.0)      # row-major: sorted by (i, idx)
-        if w_i.size:
-            out.w_i = w_i.astype(np.int64)
-            out.w_idx = w_idx.astype(np.int64)
-            out.w_delta = delta[w_i, w_idx]
-            out.w_normal = normals[w_idx]
-            out.w_arm = out.w_normal
-            out.w_meff = m[w_i].astype(float)
-            out.w_vn, out.w_vt = _split_velocity_many(
-                system.vel[out.w_i], out.w_normal, system.omega[out.w_i],
-                out.w_arm)
+    # pair rows: overlapping unbonded candidates, then every bond
+    bonds = np.array([(b.i, b.j) for b in system.bonds], dtype=np.int64).reshape(-1, 2)
+    cand = nlist.pairs
+    if not (cand.size or bonds.size or wi.size):    # nothing is near anything
+        return ContactSet.empty(n, normals.shape[0])
+    cand = cand[~np.isin(cand[:, 0] * n + cand[:, 1], bonds[:, 0] * n + bonds[:, 1])]
+    pairs = np.concatenate([cand, bonds])
+    r_ij = pos[pairs[:, 0]] - pos[pairs[:, 1]]
+    dist = np.sqrt((r_ij * r_ij).sum(axis=1))
+    if (dist < 1e-14 * d[pairs[:, 0]]).any():
+        bad = int(np.argmin(dist))
+        raise SingularGeometryError(
+            f"particles {pairs[bad, 0]} and {pairs[bad, 1]} have coincident centers")
+    keep = dist < d[pairs[:, 0]]
+    keep[cand.shape[0]:] = True                 # bonds act at any overlap
+    if not (keep.any() or wi.size):             # nothing touches
+        return ContactSet.empty(n, normals.shape[0])
+    pairs, r_ij, dist = pairs[keep], r_ij[keep], dist[keep]
+    ii, jj = pairs[:, 0], pairs[:, 1]
 
-    if system.bonds:
-        bi = np.array([b.i for b in system.bonds], dtype=np.int64)
-        bj = np.array([b.j for b in system.bonds], dtype=np.int64)
-        r_ij, dist, normal, delta, m_eff = _pair_geometry(pos, d, m, bi, bj)
-        out.b_i, out.b_j = bi, bj
-        out.b_delta = delta
-        out.b_normal = normal
-        out.b_arm = r_ij
-        out.b_meff = m_eff
-        out.b_k = np.array([b.k_bond for b in system.bonds])
-        out.b_vn, out.b_vt = _split_velocity_many(
-            system.vel[bi] - system.vel[bj], normal,
-            system.omega[bi] + system.omega[bj], r_ij)
-    return out
+    n_pp = pairs.shape[0] - bonds.shape[0]
+    return ContactSet(
+        n, normals.shape[0],
+        i=np.concatenate([ii, wi]),
+        j=np.concatenate([jj, n + widx]),
+        delta=np.concatenate([d[ii] - dist, wall_delta[wi, widx]]),
+        normal=np.concatenate([r_ij / dist[:, None], normals[widx]]),
+        arm=np.concatenate([r_ij, d[wi, None] * normals[widx]]),
+        m_eff=np.concatenate([m[ii] * m[jj] / (m[ii] + m[jj]), m[wi]]),
+        k=np.concatenate([np.zeros(n_pp), [b.k_bond for b in system.bonds],
+                          np.zeros(wi.size)]),
+        n_pp=n_pp)
 
 
 def build_neighbor_list(system: ParticleSystem,

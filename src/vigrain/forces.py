@@ -10,7 +10,12 @@ The tangential spring is not implemented: no tangential overlap history
 is tracked, which restricts the model to mu = 0. The spring parts are
 conservative and live in the potential; the dashpot parts form the
 generalized non-conservative force Q, which also carries the torque
--(1/2) r_ij x F_t onto both partners of a contact.
+-(1/2) arm x F_t onto both partners of a contact.
+
+Each function runs once over all rows of a ContactSet: Hookean pairs,
+bonds (k = the bond's own stiffness) and walls alike. A wall row's
+j-side contributions land on its ghost body and are dropped, so a wall
+acts on the particle side only.
 """
 from __future__ import annotations
 
@@ -31,14 +36,13 @@ class ContactParams:
     """Hookean contact constants.
 
     gamma_n and gamma_t multiply m_eff of each contact; the tangential
-    damping default is half the normal one. k_t is kept for completeness
-    but stays zero (no tangential spring).
+    damping default is half the normal one. There is no tangential
+    spring.
     """
 
     k_n: float
     gamma_n: float = 0.0
     gamma_t: float | None = None
-    k_t: float = 0.0
 
     def __post_init__(self):
         if self.k_n <= 0.0:
@@ -61,25 +65,27 @@ def contact_time(k_n: float, mass: float = 1.0) -> float:
     return np.pi * np.sqrt(mass / (2.0 * k_n))
 
 
-def _velocity_views(velocity: np.ndarray, n: int):
-    v = velocity.reshape(n, BLOCK)
-    return v[:, :3], v[:, 3:]
+def _per_body(contacts: ContactSet, vals_i: np.ndarray,
+              vals_j: np.ndarray) -> np.ndarray:
+    """Sum per-row contributions onto both ends, via bincount.
 
-
-def _scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """dst[rows] += vals for (m, 3) contributions, via bincount."""
-    width = dst.shape[1]
-    flat = (width * rows[:, None] + np.arange(width)).ravel()
-    dst += np.bincount(flat, weights=vals.ravel(),
-                       minlength=dst.size).reshape(dst.shape)
+    Ghost rows collect the j side of wall rows and are dropped.
+    """
+    out = np.zeros((contacts.n_bodies + contacts.n_ghosts,) + vals_i.shape[1:])
+    flat = out.reshape(out.shape[0], -1)
+    width = flat.shape[1]
+    for rows, vals in ((contacts.i, vals_i), (contacts.j, vals_j)):
+        idx = (width * rows[:, None] + np.arange(width)).ravel()
+        flat += np.bincount(idx, weights=vals.ravel(),
+                            minlength=flat.size).reshape(flat.shape)
+    return out[:contacts.n_bodies]
 
 
 def potential_energy(system: ParticleSystem, contacts: ContactSet,
                      params: ContactParams) -> float:
-    """Total potential: Hookean pair and wall springs, bonds, gravity."""
-    v = 0.5 * params.k_n * float(np.sum(contacts.pp_delta ** 2))
-    v += 0.5 * params.k_n * float(np.sum(contacts.w_delta ** 2))
-    v += 0.5 * float(np.sum(contacts.b_k * contacts.b_delta ** 2))
+    """Total potential: contact springs (Hookean, wall, bond) and gravity."""
+    k = contacts.stiffness(params.k_n)
+    v = 0.5 * float(np.sum(k * contacts.delta ** 2))
     if system.gravity != 0.0:
         v += system.gravity * float(np.sum(system.m * system.pos[:, 2]))
     return v
@@ -88,47 +94,14 @@ def potential_energy(system: ParticleSystem, contacts: ContactSet,
 def potential_gradient(system: ParticleSystem, contacts: ContactSet,
                        params: ContactParams) -> np.ndarray:
     """Exact gradient of the potential with respect to q (rotations zero)."""
-    n = system.n
-    grad = np.zeros((n, BLOCK))
-    tr = grad[:, :3]
-    if contacts.n_pp:
-        g = (-params.k_n * contacts.pp_delta)[:, None] * contacts.pp_normal
-        _scatter_rows(tr, contacts.pp_i, g)
-        _scatter_rows(tr, contacts.pp_j, -g)
-    if contacts.n_wall:
-        g = (-params.k_n * contacts.w_delta)[:, None] * contacts.w_normal
-        _scatter_rows(tr, contacts.w_i, g)
-    if contacts.n_bond:
-        g = (-contacts.b_k * contacts.b_delta)[:, None] * contacts.b_normal
-        _scatter_rows(tr, contacts.b_i, g)
-        _scatter_rows(tr, contacts.b_j, -g)
+    grad = np.zeros((system.n, BLOCK))
+    if len(contacts):
+        k = contacts.stiffness(params.k_n)
+        g = (-k * contacts.delta)[:, None] * contacts.normal
+        grad[:, :3] = _per_body(contacts, g, -g)
     if system.gravity != 0.0:
-        tr[:, 2] += system.m * system.gravity
+        grad[:, 2] += system.m * system.gravity
     return grad.ravel()
-
-
-def _damping_group(tr, rot, vel, omg, ii, jj, normal, arm, m_eff,
-                   gamma_n, gamma_t, wall: bool):
-    """Accumulate dashpot forces and torques for one contact group."""
-    if ii.size == 0:
-        return
-    if wall:
-        v_rel = vel[ii]
-        om_sum = omg[ii]
-    else:
-        v_rel = vel[ii] - vel[jj]
-        om_sum = omg[ii] + omg[jj]
-    vn_mag = np.einsum("cd,cd->c", v_rel, normal)
-    v_n = vn_mag[:, None] * normal
-    v_t = v_rel - v_n - 0.5 * cross_rows(om_sum, arm)
-    f_t = -gamma_t * m_eff[:, None] * v_t
-    f = -gamma_n * m_eff[:, None] * v_n + f_t
-    tau = -0.5 * cross_rows(arm, f_t)
-    _scatter_rows(tr, ii, f)
-    _scatter_rows(rot, ii, tau)
-    if not wall:
-        _scatter_rows(tr, jj, -f)
-        _scatter_rows(rot, jj, tau)
 
 
 def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
@@ -139,27 +112,13 @@ def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
     recomputed, so the same set can be evaluated at several velocities.
     Wall contacts act on the particle side only.
     """
-    n = system.n
-    vel, omg = _velocity_views(np.asarray(velocity, dtype=float), n)
-    q = np.zeros((n, BLOCK))
-    tr, rot = q[:, :3], q[:, 3:]
-    _damping_group(tr, rot, vel, omg, contacts.pp_i, contacts.pp_j,
-                   contacts.pp_normal, contacts.pp_arm, contacts.pp_meff,
-                   params.gamma_n, params.gamma_t, wall=False)
-    _damping_group(tr, rot, vel, omg, contacts.w_i, contacts.w_i,
-                   contacts.w_normal, contacts.w_arm, contacts.w_meff,
-                   params.gamma_n, params.gamma_t, wall=True)
-    _damping_group(tr, rot, vel, omg, contacts.b_i, contacts.b_j,
-                   contacts.b_normal, contacts.b_arm, contacts.b_meff,
-                   params.gamma_n, params.gamma_t, wall=False)
-    return q.ravel()
-
-
-def _scatter_blocks(diag: np.ndarray, rows: np.ndarray, blocks: np.ndarray) -> None:
-    """diag[rows] += blocks for (m, 6, 6) contributions, via bincount."""
-    flat = (36 * rows[:, None] + np.arange(36)).ravel()
-    diag += np.bincount(flat, weights=blocks.ravel(),
-                        minlength=diag.size).reshape(diag.shape)
+    if not len(contacts):
+        return np.zeros(BLOCK * system.n)
+    _, v_n, v_t = contacts.split_velocity(np.asarray(velocity, dtype=float))
+    f_t = -params.gamma_t * contacts.m_eff[:, None] * v_t
+    f = -params.gamma_n * contacts.m_eff[:, None] * v_n + f_t
+    tau = -0.5 * cross_rows(contacts.arm, f_t)
+    return _per_body(contacts, np.hstack([f, tau]), np.hstack([-f, tau])).ravel()
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -172,15 +131,32 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _damping_blocks(normal, arm, m_eff, gamma_n, gamma_t):
-    """Per-contact 6x6 Jacobian blocks (D_ii, D_jj, D_ij) of Q wrt velocity."""
-    m = normal.shape[0]
+def _block_operator(contacts: ContactSet, d_ii: np.ndarray, d_jj: np.ndarray,
+                    d_ij: np.ndarray) -> BlockSparseMatrix:
+    """Assemble per-row 6x6 blocks; wall rows have no off-diagonal block."""
+    n = contacts.n_bodies
+    rows = np.flatnonzero(~contacts.wall)
+    keys = contacts.i[rows] * n + contacts.j[rows]
+    order = np.argsort(keys)
+    keys = keys[order]
+    return BlockSparseMatrix(n, _per_body(contacts, d_ii, d_jj),
+                             keys // n, keys % n, d_ij[rows[order]])
+
+
+def dQ_dv(system: ParticleSystem, contacts: ContactSet,
+          params: ContactParams) -> BlockSparseMatrix:
+    """Jacobian of the damping force with respect to the 6N velocity vector.
+
+    Symmetric negative semidefinite by construction.
+    """
+    m = len(contacts)
     eye = np.eye(3)
-    nn = np.einsum("ca,cb->cab", normal, normal)
+    gamma_n, gamma_t = params.gamma_n, params.gamma_t
+    m_eff, arm = contacts.m_eff, contacts.arm
+    nn = np.einsum("ca,cb->cab", contacts.normal, contacts.normal)
     b = ((gamma_n - gamma_t) * m_eff)[:, None, None] * nn \
         + (gamma_t * m_eff)[:, None, None] * eye
-    s = _skew(arm)
-    c = 0.5 * (gamma_t * m_eff)[:, None, None] * s
+    c = 0.5 * (gamma_t * m_eff)[:, None, None] * _skew(arm)
     # S(a) S(a) = a a^T - |a|^2 I for skew matrices
     aa = np.einsum("ca,cb->cab", arm, arm)
     a2 = np.einsum("ca,ca->c", arm, arm)
@@ -200,98 +176,22 @@ def _damping_blocks(normal, arm, m_eff, gamma_n, gamma_t):
     d_ij[:, :3, 3:] = -c
     d_ij[:, 3:, :3] = -c
     d_ij[:, 3:, 3:] = t_w
-    return d_ii, d_jj, d_ij
-
-
-def dQ_dv(system: ParticleSystem, contacts: ContactSet,
-          params: ContactParams) -> BlockSparseMatrix:
-    """Jacobian of the damping force with respect to the 6N velocity vector.
-
-    Symmetric negative semidefinite by construction.
-    """
-    n = system.n
-    diag = np.zeros((n, BLOCK, BLOCK))
-    pair_key, pair_blk = [], []
-    if contacts.n_pp:
-        d_ii, d_jj, d_ij = _damping_blocks(contacts.pp_normal, contacts.pp_arm,
-                                           contacts.pp_meff,
-                                           params.gamma_n, params.gamma_t)
-        _scatter_blocks(diag, contacts.pp_i, d_ii)
-        _scatter_blocks(diag, contacts.pp_j, d_jj)
-        pair_key.append(contacts.pp_i * n + contacts.pp_j)
-        pair_blk.append(d_ij)
-    if contacts.n_wall:
-        d_ii, _, _ = _damping_blocks(contacts.w_normal, contacts.w_arm,
-                                     contacts.w_meff,
-                                     params.gamma_n, params.gamma_t)
-        _scatter_blocks(diag, contacts.w_i, d_ii)
-    if contacts.n_bond:
-        d_ii, d_jj, d_ij = _damping_blocks(contacts.b_normal, contacts.b_arm,
-                                           contacts.b_meff,
-                                           params.gamma_n, params.gamma_t)
-        _scatter_blocks(diag, contacts.b_i, d_ii)
-        _scatter_blocks(diag, contacts.b_j, d_jj)
-        pair_key.append(contacts.b_i * n + contacts.b_j)
-        pair_blk.append(d_ij)
-    if pair_key:
-        keys = np.concatenate(pair_key)
-        blocks = np.concatenate(pair_blk, axis=0)
-        order = np.argsort(keys)
-        keys, blocks = keys[order], blocks[order]
-        return BlockSparseMatrix(n, diag, keys // n, keys % n, blocks)
-    return BlockSparseMatrix(n, diag)
-
-
-def _hessian_pair_blocks(k, delta, normal, arm):
-    """3x3 translational Hessian block of a spring pair, d^2 V / d r_i^2."""
-    dist = np.linalg.norm(arm, axis=1)
-    eye = np.eye(3)
-    nn = np.einsum("ca,cb->cab", normal, normal)
-    return k[:, None, None] * (nn - (delta / dist)[:, None, None] * (eye - nn))
+    return _block_operator(contacts, d_ii, d_jj, d_ij)
 
 
 def potential_hessian(system: ParticleSystem, contacts: ContactSet,
                       params: ContactParams) -> BlockSparseMatrix:
     """Second derivative of the potential with respect to q.
 
-    Rotational rows are zero; gravity contributes nothing. Used by the
-    exact-Hessian stiffness option and by the quasi-static solver.
+    Rotational rows are zero; gravity contributes nothing. The spring's
+    transverse term -k (delta / |r_ij|) (I - n n^T) is absent on wall
+    rows, because a plane's normal does not turn. Used by the
+    quasi-static solver.
     """
-    n = system.n
-    diag = np.zeros((n, BLOCK, BLOCK))
-    pair_key, pair_blk = [], []
-    if contacts.n_pp:
-        h = _hessian_pair_blocks(np.full(contacts.n_pp, params.k_n),
-                                 contacts.pp_delta, contacts.pp_normal,
-                                 contacts.pp_arm)
-        blk = np.zeros((contacts.n_pp, BLOCK, BLOCK))
-        blk[:, :3, :3] = h
-        _scatter_blocks(diag, contacts.pp_i, blk)
-        _scatter_blocks(diag, contacts.pp_j, blk)
-        pair_key.append(contacts.pp_i * n + contacts.pp_j)
-        off = np.zeros_like(blk)
-        off[:, :3, :3] = -h
-        pair_blk.append(off)
-    if contacts.n_wall:
-        nn = np.einsum("ca,cb->cab", contacts.w_normal, contacts.w_normal)
-        blk = np.zeros((contacts.n_wall, BLOCK, BLOCK))
-        blk[:, :3, :3] = params.k_n * nn
-        _scatter_blocks(diag, contacts.w_i, blk)
-    if contacts.n_bond:
-        h = _hessian_pair_blocks(contacts.b_k, contacts.b_delta,
-                                 contacts.b_normal, contacts.b_arm)
-        blk = np.zeros((contacts.n_bond, BLOCK, BLOCK))
-        blk[:, :3, :3] = h
-        _scatter_blocks(diag, contacts.b_i, blk)
-        _scatter_blocks(diag, contacts.b_j, blk)
-        pair_key.append(contacts.b_i * n + contacts.b_j)
-        off = np.zeros_like(blk)
-        off[:, :3, :3] = -h
-        pair_blk.append(off)
-    if pair_key:
-        keys = np.concatenate(pair_key)
-        blocks = np.concatenate(pair_blk, axis=0)
-        order = np.argsort(keys)
-        keys, blocks = keys[order], blocks[order]
-        return BlockSparseMatrix(n, diag, keys // n, keys % n, blocks)
-    return BlockSparseMatrix(n, diag)
+    k = contacts.stiffness(params.k_n)
+    nn = np.einsum("ca,cb->cab", contacts.normal, contacts.normal)
+    dist = np.linalg.norm(contacts.arm, axis=1)
+    lateral = np.where(contacts.wall, 0.0, contacts.delta / dist)
+    h = np.zeros((len(contacts), BLOCK, BLOCK))
+    h[:, :3, :3] = k[:, None, None] * (nn - lateral[:, None, None] * (np.eye(3) - nn))
+    return _block_operator(contacts, h, h, -h)

@@ -1,9 +1,10 @@
 """Run configuration documents and CSV persistence.
 
 Configs are JSON with a closed schema: unknown keys are rejected by
-name, ranges are checked, omitted fields take scenario defaults. Floats
-are written with shortest round-trip formatting so re-reading an output
-reproduces the sampled states bit-exactly.
+name, ranges are checked, omitted fields take the defaults of the
+scenario's builder. Floats are written with shortest round-trip
+formatting so re-reading an output reproduces the sampled states
+bit-exactly.
 """
 from __future__ import annotations
 
@@ -15,18 +16,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .runner import DiagnosticsRow, TrajectoryFrame
-from .scenarios import ScenarioSpec, build_bonded, build_box, build_impact, build_walls
-
-_SCENARIO_DEFAULTS = {
-    "impact": dict(gamma=30.0, alpha=0.5, h_fraction=160.0),
-    "walls": dict(gamma=0.0, alpha=0.5, h_fraction=160.0),
-    "bonded": dict(gamma=30.0, alpha=0.5, h_fraction=32.0),
-    "box": dict(gamma=400.0, alpha=0.0, h_fraction=16.0),
-}
+from .scenarios import SCENARIO_BUILDERS, ScenarioSpec, build_named
 
 _SCHEMA = {
     # key: (type, validator, message)
-    "scenario": (str, lambda v: v in _SCENARIO_DEFAULTS, "one of impact/walls/bonded/box"),
+    "scenario": (str, lambda v: v in SCENARIO_BUILDERS,
+                 "one of " + "/".join(SCENARIO_BUILDERS)),
     "dy": (float, lambda v: v >= 0.0, ">= 0"),
     "gap": (float, lambda v: v > 1.0, "> d (= 1)"),
     "bond_stiffness": (float, lambda v: v > 0.0, "> 0"),
@@ -111,37 +106,10 @@ def parse_config(text: str) -> RunConfig:
     if "scenario" not in doc:
         raise ConfigError("config is missing the required key 'scenario'")
     values = {k: _coerce(k, v) for k, v in doc.items()}
-    name = values.pop("scenario")
-
-    if name == "impact":
-        system, spec = build_impact(values.get("dy", 0.0),
-                                    values.get("gamma", 30.0),
-                                    values.get("v", 1.0))
-    elif name == "walls":
-        system, spec = build_walls(values.get("gap", 1.01), values.get("v", 1.0))
-        spec.gamma = values.get("gamma", 0.0)
-    elif name == "bonded":
-        system, spec = build_bonded(
-            values.get("bond_stiffness", spec_default("bonded", "bond_stiffness")),
-            values.get("v", 1.0), values.get("gamma", 30.0))
-    elif name == "box":
-        system, spec = build_box(values.get("n_particles", 218),
-                                 values.get("box_size", 6.0),
-                                 values.get("seed", 0),
-                                 values.get("gamma", 400.0))
-    for key in ("integrator", "alpha", "h_fraction", "duration",
-                "max_collisions", "trajectory_every", "diagnostics_every",
-                "seed", "v", "dy", "gap", "bond_stiffness", "n_particles",
-                "box_size", "gamma"):
-        if key in values:
-            setattr(spec, key, values[key])
+    _, spec = build_named(values.pop("scenario"), values)
+    for key, value in values.items():
+        setattr(spec, key, value)
     return RunConfig(spec=spec)
-
-
-def spec_default(name: str, key: str):
-    if key == "bond_stiffness":
-        return ScenarioSpec(name=name).bond_stiffness
-    return _SCENARIO_DEFAULTS[name].get(key)
 
 
 def render_config(config: RunConfig) -> str:

@@ -79,22 +79,6 @@ class BlockSparseMatrix:
         return BlockSparseMatrix(self.n_bodies, diag,
                                  self.pair_i, self.pair_j, self.pair_blocks)
 
-    def __add__(self, other: "BlockSparseMatrix") -> "BlockSparseMatrix":
-        if other.n_bodies != self.n_bodies:
-            raise ValueError("cannot add operators of different sizes")
-        diag = self.diag + other.diag
-        n = self.n_bodies
-        key_a = self.pair_i * n + self.pair_j
-        key_b = other.pair_i * n + other.pair_j
-        keys = np.concatenate([key_a, key_b])
-        blocks = np.concatenate([self.pair_blocks, other.pair_blocks], axis=0)
-        if keys.size == 0:
-            return BlockSparseMatrix(n, diag)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros((uniq.size, BLOCK, BLOCK))
-        np.add.at(merged, inverse, blocks)
-        return BlockSparseMatrix(n, diag, uniq // n, uniq % n, merged)
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
         for b in range(self.n_bodies):

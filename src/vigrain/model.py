@@ -69,8 +69,9 @@ class ParticleSystem:
     """State and description of a collection of soft spheres.
 
     Positions, orientations, velocities and angular velocities are (N, 3)
-    arrays; diameter and mass are (N,) arrays. The moment of inertia is
-    always recomputed from the sphere formula at construction.
+    arrays; diameter and mass are (N,) arrays. All diameters must be
+    equal. The moment of inertia is always recomputed from the sphere
+    formula at construction.
     """
 
     def __init__(self, pos, vel=None, omega=None, theta=None,
@@ -88,6 +89,10 @@ class ParticleSystem:
             raise ValueError("particle masses must be positive")
         if np.any(self.d <= 0.0):
             raise ValueError("particle diameters must be positive")
+        d_max = self.d.max()
+        if d_max - self.d.min() > 1e-12 * d_max:
+            raise ValueError("contacts are defined for equal spheres only; "
+                             "all diameters must match")
         self.inertia = sphere_inertia(self.m, self.d)
         self.walls = list(walls)
         self.bonds = list(bonds)

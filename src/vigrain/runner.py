@@ -8,7 +8,7 @@ import numpy as np
 from .contact import detect_contacts
 from .diagnostics import FrameStats, ensemble_stats
 from .model import GeneralizedState, ParticleSystem, pack_state, unpack_state
-from .scenarios import ScenarioSpec, build_scenario
+from .scenarios import ScenarioSpec
 from .vi import VIConfig, VIIntegrator
 from .verlet import VerletIntegrator
 
@@ -111,7 +111,3 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec,
     result.final_system = unpack_state(state, system)
     return result
 
-
-def run_scenario_by_name(spec: ScenarioSpec) -> RunResult:
-    system = build_scenario(spec)
-    return run_simulation(system, spec)

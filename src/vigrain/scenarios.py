@@ -7,6 +7,7 @@ damping is gamma_n / 2 and friction is zero throughout.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,7 @@ def build_walls(gap: float = 1.01, v: float = 1.0) -> tuple[ParticleSystem, Scen
     return system, spec
 
 
-def build_bonded(k_bond: float = STIFFNESS_RATIO / 10.0, v: float = 1.0,
+def build_bonded(bond_stiffness: float = STIFFNESS_RATIO / 10.0, v: float = 1.0,
                  gamma: float = 30.0) -> tuple[ParticleSystem, ScenarioSpec]:
     """A bonded pair and a free particle on a head-on collision course.
 
@@ -105,16 +106,17 @@ def build_bonded(k_bond: float = STIFFNESS_RATIO / 10.0, v: float = 1.0,
     d/100 proximity rule), both moving +v; the free particle at x = +d
     moves -v, mirroring the impact setup.
     """
-    if k_bond <= 0.0:
+    if bond_stiffness <= 0.0:
         raise ValueError("bond stiffness must be positive")
     d = 1.0
     pos = [[+d, 0.0, 0.0], [-d, 0.0, 0.0], [-2.0 * d, 0.0, 0.0]]
     vel = [[-v, 0.0, 0.0], [+v, 0.0, 0.0], [+v, 0.0, 0.0]]
     system = ParticleSystem(pos, vel, d=d, m=1.0)
-    system.bonds = create_bonds(system, k_bond=k_bond)
-    spec = ScenarioSpec(name="bonded", gamma=gamma, v=v, bond_stiffness=k_bond,
-                        h_fraction=32.0,
-                        duration=d / v + 15.0 * 2.0 * np.pi / np.sqrt(2.0 * k_bond))
+    system.bonds = create_bonds(system, k_bond=bond_stiffness)
+    duration = d / v + 15.0 * 2.0 * np.pi / np.sqrt(2.0 * bond_stiffness)
+    spec = ScenarioSpec(name="bonded", gamma=gamma, v=v,
+                        bond_stiffness=bond_stiffness, h_fraction=32.0,
+                        duration=duration)
     return system, spec
 
 
@@ -177,14 +179,23 @@ def build_box(n_particles: int = 218, box_size: float = 6.0,
     return system, spec
 
 
+SCENARIO_BUILDERS = {"impact": build_impact, "walls": build_walls,
+                     "bonded": build_bonded, "box": build_box}
+
+
+def build_named(name: str, values: dict) -> tuple[ParticleSystem, ScenarioSpec]:
+    """Call a scenario's builder with the entries of values it takes.
+
+    The builder's own keyword defaults fill in everything else, so the
+    builder signatures are the one table of scenario defaults.
+    """
+    builder = SCENARIO_BUILDERS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown scenario {name!r}")
+    params = inspect.signature(builder).parameters
+    return builder(**{k: v for k, v in values.items() if k in params})
+
+
 def build_scenario(spec: ScenarioSpec) -> ParticleSystem:
     """Realize a ScenarioSpec into its initial particle system."""
-    if spec.name == "impact":
-        return build_impact(spec.dy, spec.gamma, spec.v)[0]
-    if spec.name == "walls":
-        return build_walls(spec.gap, spec.v)[0]
-    if spec.name == "bonded":
-        return build_bonded(spec.bond_stiffness, spec.v, spec.gamma)[0]
-    if spec.name == "box":
-        return build_box(spec.n_particles, spec.box_size, spec.seed, spec.gamma)[0]
-    raise ValueError(f"unknown scenario {spec.name!r}")
+    return build_named(spec.name, vars(spec))[0]

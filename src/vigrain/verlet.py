@@ -43,7 +43,7 @@ class VerletIntegrator:
             self.nlist.rebuild(self.work)
         contacts = _detect_unchecked(self.work, self.nlist)
         f = -_forces.potential_gradient(self.work, contacts, self.params)
-        if self._damped and len(contacts):
+        if self._damped:
             f = f + _forces.nonconservative_force(self.work, contacts,
                                                   velocity, self.params)
         return f

@@ -12,7 +12,7 @@ q_{k+a} = (1-a) q_k + a q_{k+1} and a is 0 (first order) or 1/2
 (second order). The accepted position feeds the explicit momentum
 update p_{k+1} = (1/h) M [q_{k+1} - q_k] - h a grad V(q_{k+a}).
 
-The default stiffness keeps only the dominant terms, K = -(1/h) M plus
+The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
 because acceptance is residual-based. Dropping the inertial term and
 the momentum turns the same machinery into an energy minimizer, which
@@ -26,11 +26,11 @@ import numpy as np
 
 from . import contact as _contact
 from . import forces as _forces
-from .contact import ContactSet, NeighborList, detect_contacts
+from .contact import ContactSet, NeighborList
 from .errors import IndefiniteOperatorError, SolverFailureError, StepFailureError
 from .forces import ContactParams
 from .linsolve import BLOCK, BlockSparseMatrix, cg_solve
-from .model import GeneralizedState, MassMatrix, ParticleSystem, assemble_mass_matrix
+from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
 
 RESIDUAL_SCALE_TOL = 1e-8
 
@@ -50,7 +50,6 @@ class VIConfig:
     cg_tol: float = 1e-10
     cg_max_iter: int | None = None
     jacobi: bool = False
-    exact_hessian: bool = False
     n_freeze: int = 10
     static_tol: float | None = None
     static_max_iter: int = 100
@@ -85,13 +84,6 @@ class QuasiStaticReport:
     energy: float
 
 
-def _residual_core(mass: MassMatrix, h: float, alpha: float,
-                   q_k, q_it, p_k, grad_mid, q_minus, q_plus):
-    return (p_k - mass.matvec(q_it - q_k) / h
-            - h * (1.0 - alpha) * grad_mid
-            + 0.5 * h * q_minus + 0.5 * h * q_plus)
-
-
 def _mass_shifted(op: BlockSparseMatrix | None, mass_diag: np.ndarray,
                   scale: float, n: int) -> BlockSparseMatrix:
     """scale * diag(M) plus an optional block operator."""
@@ -100,26 +92,6 @@ def _mass_shifted(op: BlockSparseMatrix | None, mass_diag: np.ndarray,
     idx = np.arange(BLOCK)
     diag[:, idx, idx] += scale * mass_diag.reshape(n, BLOCK)
     return BlockSparseMatrix(n, diag, out.pair_i, out.pair_j, out.pair_blocks)
-
-
-def block_sparse_from_dense(a: np.ndarray, tol: float = 0.0) -> BlockSparseMatrix:
-    """Slice a dense symmetric matrix into the block-sparse layout."""
-    dim = a.shape[0]
-    n = dim // BLOCK
-    diag = np.empty((n, BLOCK, BLOCK))
-    pi, pj, blocks = [], [], []
-    for i in range(n):
-        si = slice(BLOCK * i, BLOCK * (i + 1))
-        diag[i] = a[si, si]
-        for j in range(i + 1, n):
-            sj = slice(BLOCK * j, BLOCK * (j + 1))
-            blk = a[si, sj]
-            if np.max(np.abs(blk)) > tol:
-                pi.append(i); pj.append(j); blocks.append(blk)
-    if pi:
-        return BlockSparseMatrix(n, diag, np.array(pi), np.array(pj),
-                                 np.array(blocks))
-    return BlockSparseMatrix(n, diag)
 
 
 class VIIntegrator:
@@ -140,17 +112,51 @@ class VIIntegrator:
 
     # -- contact evaluation ------------------------------------------------
 
-    def _contacts_at(self, q: np.ndarray, velocity: np.ndarray) -> ContactSet:
-        n = self.work.n
-        qb = q.reshape(n, BLOCK)
-        vb = velocity.reshape(n, BLOCK)
-        self.work.pos[:] = qb[:, :3]
-        self.work.theta[:] = qb[:, 3:]
-        self.work.vel[:] = vb[:, :3]
-        self.work.omega[:] = vb[:, 3:]
+    def _contacts_at(self, q: np.ndarray) -> ContactSet:
+        self.work.pos[:] = q.reshape(self.work.n, BLOCK)[:, :3]
         if not self.nlist.is_valid(self.work.pos):
             self.nlist.rebuild(self.work)
         return _contact._detect_unchecked(self.work, self.nlist)
+
+    def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
+        """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
+        if not (self._damped or self.cfg.alpha == 0.0):
+            return None, np.zeros_like(q_k)  # undamped midpoint rule never reads them
+        s_k = self._contacts_at(q_k)
+        q_plus = (_forces.nonconservative_force(self.work, s_k, vel_k, self.params)
+                  if self._damped else np.zeros_like(q_k))
+        return s_k, q_plus
+
+    def _residual(self, q_k, q_it, p_k, q_plus, s_mid: ContactSet | None = None):
+        """Step residual at the trial q_it, with its midpoint terms.
+
+        Detects contacts at the midpoint unless frozen ones are passed.
+        Returns (r, s_mid, grad V(q_mid), Q(q_mid, v_d)).
+        """
+        h, alpha = self.cfg.h, self.cfg.alpha
+        v_d = (q_it - q_k) / h
+        if s_mid is None:
+            s_mid = self._contacts_at((1.0 - alpha) * q_k + alpha * q_it)
+        grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
+        q_minus = _forces.nonconservative_force(self.work, s_mid, v_d, self.params) \
+            if self._damped else np.zeros_like(q_k)
+        r = (p_k - self.mass.matvec(q_it - q_k) / h
+             - h * (1.0 - alpha) * grad_mid
+             + 0.5 * h * q_minus + 0.5 * h * q_plus)
+        return r, s_mid, grad_mid, q_minus
+
+    def _momentum(self, q_k: np.ndarray, q_next: np.ndarray,
+                  s_mid: ContactSet | None = None) -> np.ndarray:
+        """p_{k+1} = (1/h) M dq - h a grad V(q_{k+a}); s_mid is detected
+        at the midpoint unless the caller has it."""
+        cfg = self.cfg
+        p_next = self.mass.matvec(q_next - q_k) / cfg.h
+        if cfg.alpha != 0.0:
+            if s_mid is None:
+                s_mid = self._contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_next)
+            grad = _forces.potential_gradient(self.work, s_mid, self.params)
+            p_next = p_next - cfg.h * cfg.alpha * grad
+        return p_next
 
     # -- one implicit step ---------------------------------------------------
 
@@ -159,14 +165,7 @@ class VIIntegrator:
         cfg = self.cfg
         h, alpha = cfg.h, cfg.alpha
         vel_k = self.mass.solve(p_k)
-        if self._damped or alpha == 0.0:
-            s_k = self._contacts_at(q_k, vel_k)
-            q_plus = (_forces.nonconservative_force(self.work, s_k, vel_k,
-                                                    self.params)
-                      if self._damped else np.zeros_like(q_k))
-        else:
-            s_k = None  # undamped midpoint rule never reads contacts at q_k
-            q_plus = np.zeros_like(q_k)
+        s_k, q_plus = self._explicit_damping(q_k, vel_k)
 
         q_it = q_k + h * vel_k
         s_mid = s_k
@@ -178,15 +177,8 @@ class VIIntegrator:
         g_floor = np.max(self.system.m) * abs(self.system.gravity)
 
         while True:
-            v_d = (q_it - q_k) / h
-            if not frozen:
-                q_mid = (1.0 - alpha) * q_k + alpha * q_it
-                s_mid = self._contacts_at(q_mid, v_d)
-            grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
-            q_minus = _forces.nonconservative_force(self.work, s_mid, v_d, self.params) \
-                if self._damped else np.zeros_like(q_k)
-            r = _residual_core(self.mass, h, alpha, q_k, q_it, p_k,
-                               grad_mid, q_minus, q_plus)
+            r, s_mid, grad_mid, q_minus = self._residual(
+                q_k, q_it, p_k, q_plus, s_mid if frozen else None)
             r_norm = float(np.max(np.abs(r), initial=0.0))
             fscale = max(float(np.max(np.abs(grad_mid), initial=0.0)),
                          float(np.max(np.abs(q_minus), initial=0.0)),
@@ -203,11 +195,11 @@ class VIIntegrator:
                 raise StepFailureError(
                     f"Newton did not converge in {cfg.newton_max} iterations",
                     residual=r_norm, iterations=corrections)
-            if frozen and a_cached is not None and not cfg.exact_hessian:
+            if frozen and a_cached is not None:
                 a_op = a_cached
             else:
-                a_op = self._neg_stiffness(s_mid, q_k, q_it)
-                if frozen and not cfg.exact_hessian:
+                a_op = self._neg_stiffness(s_mid)
+                if frozen:
                     a_cached = a_op
             dq, it = cg_solve(a_op, r, tol=cfg.cg_tol,
                               max_iter=cfg.cg_max_iter, jacobi=cfg.jacobi)
@@ -218,64 +210,21 @@ class VIIntegrator:
             if corrections >= cfg.n_freeze:
                 frozen = True
 
-    def _neg_stiffness(self, s_mid: ContactSet, q_k: np.ndarray,
-                       q_it: np.ndarray) -> BlockSparseMatrix:
+    def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
         """Assemble -K, the SPD operator handed to CG."""
         n = self.system.n
         op = None
         if self._damped and len(s_mid):
             op = _forces.dQ_dv(self.work, s_mid, self.params).scaled(-0.5)
-        a_op = _mass_shifted(op, self.mass.diag, 1.0 / self.cfg.h, n)
-        if self.cfg.exact_hessian and self.cfg.alpha != 0.0:
-            extras = self._hessian_extras(s_mid, q_k, q_it)
-            a_op = a_op + extras.scaled(-1.0)
-        return a_op
-
-    def _hessian_extras(self, s_mid: ContactSet, q_k: np.ndarray,
-                        q_it: np.ndarray) -> BlockSparseMatrix:
-        """Optional stiffness terms: potential Hessian and FD position
-        derivative of the damping force, both at the midpoint."""
-        h, alpha = self.cfg.h, self.cfg.alpha
-        hess = _forces.potential_hessian(self.work, s_mid, self.params)
-        extras = hess.scaled(-h * (1.0 - alpha) * alpha)
-        if self._damped:
-            q_mid = (1.0 - alpha) * q_k + alpha * q_it
-            v_d = (q_it - q_k) / h
-            jac = self._fd_dQ_dq(q_mid, v_d)
-            extras = extras + block_sparse_from_dense(jac).scaled(0.5 * h * alpha)
-        return extras
-
-    def _fd_dQ_dq(self, q_mid: np.ndarray, v_d: np.ndarray) -> np.ndarray:
-        """Central-difference Jacobian of Q in its position argument,
-        symmetrized. Rotational columns are zero by construction."""
-        dim = q_mid.size
-        n = dim // BLOCK
-        eps = 1e-7 * self.d_min
-        jac = np.zeros((dim, dim))
-        for b in range(n):
-            for c in range(3):
-                col = BLOCK * b + c
-                qp = q_mid.copy(); qp[col] += eps
-                sp = self._contacts_at(qp, v_d)
-                q_hi = _forces.nonconservative_force(self.work, sp, v_d, self.params)
-                qm = q_mid.copy(); qm[col] -= eps
-                sm = self._contacts_at(qm, v_d)
-                q_lo = _forces.nonconservative_force(self.work, sm, v_d, self.params)
-                jac[:, col] = (q_hi - q_lo) / (2.0 * eps)
-        return 0.5 * (jac + jac.T)
+        return _mass_shifted(op, self.mass.diag, 1.0 / self.cfg.h, n)
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
-        cfg = self.cfg
         q_next, s_mid, report = self.solve_position(state.q, state.p)
-        dq = q_next - state.q
-        p_next = self.mass.matvec(dq) / cfg.h
-        if cfg.alpha != 0.0:
-            # s_mid was detected at the accepted iterate's midpoint in the
-            # last Newton evaluation, so it is current here
-            grad = _forces.potential_gradient(self.work, s_mid, self.params)
-            p_next = p_next - cfg.h * cfg.alpha * grad
+        # s_mid was detected at the accepted iterate's midpoint in the
+        # last Newton evaluation, so it is current here
+        p_next = self._momentum(state.q, q_next, s_mid)
         new_state = GeneralizedState(q=q_next, p=p_next,
-                                     t=state.t + cfg.h, k=state.k + 1)
+                                     t=state.t + self.cfg.h, k=state.k + 1)
         return new_state, report
 
 
@@ -303,18 +252,10 @@ def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
     """The nonlinear step equation evaluated at a trial q_{k+1}."""
     integ = VIIntegrator(system, params, cfg)
     q_k = np.asarray(q_k, dtype=float).ravel()
-    q_it = np.asarray(q_k1_guess, dtype=float).ravel()
     p_k = np.asarray(p_k, dtype=float).ravel()
-    vel_k = integ.mass.solve(p_k)
-    s_k = integ._contacts_at(q_k, vel_k)
-    q_plus = _forces.nonconservative_force(integ.work, s_k, vel_k, params)
-    q_mid = (1.0 - cfg.alpha) * q_k + cfg.alpha * q_it
-    v_d = (q_it - q_k) / cfg.h
-    s_mid = integ._contacts_at(q_mid, v_d)
-    grad_mid = _forces.potential_gradient(integ.work, s_mid, params)
-    q_minus = _forces.nonconservative_force(integ.work, s_mid, v_d, params)
-    return _residual_core(integ.mass, cfg.h, cfg.alpha, q_k, q_it, p_k,
-                          grad_mid, q_minus, q_plus)
+    _, q_plus = integ._explicit_damping(q_k, integ.mass.solve(p_k))
+    return integ._residual(q_k, np.asarray(q_k1_guess, dtype=float).ravel(),
+                           p_k, q_plus)[0]
 
 
 def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
@@ -323,9 +264,8 @@ def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
     integ = VIIntegrator(system, params, cfg)
     q_k = np.asarray(q_k, dtype=float).ravel()
     q_it = np.asarray(q_k1_guess, dtype=float).ravel()
-    q_mid = (1.0 - cfg.alpha) * q_k + cfg.alpha * q_it
-    s_mid = integ._contacts_at(q_mid, (q_it - q_k) / cfg.h)
-    return integ._neg_stiffness(s_mid, q_k, q_it).scaled(-1.0)
+    s_mid = integ._contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_it)
+    return integ._neg_stiffness(s_mid).scaled(-1.0)
 
 
 def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,
@@ -340,17 +280,8 @@ def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,
 def momentum_update(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
                     params: ContactParams) -> np.ndarray:
     """Explicit momentum update for an accepted position step."""
-    q_k = np.asarray(q_k, dtype=float).ravel()
-    q_k1 = np.asarray(q_k1, dtype=float).ravel()
-    mass = assemble_mass_matrix(system)
-    p = mass.matvec(q_k1 - q_k) / cfg.h
-    if cfg.alpha != 0.0:
-        work = system.copy()
-        q_mid = (1.0 - cfg.alpha) * q_k + cfg.alpha * q_k1
-        work.pos[:] = q_mid.reshape(-1, BLOCK)[:, :3]
-        contacts = _contact.detect_contacts_brute_force(work)
-        p = p - cfg.h * cfg.alpha * _forces.potential_gradient(work, contacts, params)
-    return p
+    return VIIntegrator(system, params, cfg)._momentum(
+        np.asarray(q_k, dtype=float).ravel(), np.asarray(q_k1, dtype=float).ravel())
 
 
 def vi_step(state: GeneralizedState, cfg: VIConfig, system: ParticleSystem,
@@ -374,10 +305,9 @@ def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
     d_min = integ.d_min
     tol = (cfg.static_tol if cfg.static_tol is not None
            else 1e-8 * params.k_n * d_min)
-    zeros = np.zeros_like(q)
     max_step = 0.1 * d_min
 
-    contacts = integ._contacts_at(q, zeros)
+    contacts = integ._contacts_at(q)
     for it in range(cfg.static_max_iter + 1):
         grad = _forces.potential_gradient(integ.work, contacts, params)
         g_norm = float(np.max(np.abs(grad), initial=0.0))
@@ -405,7 +335,7 @@ def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
         v_old = _forces.potential_energy(integ.work, contacts, params)
         for _ in range(40):
             trial = q + dq
-            contacts_trial = integ._contacts_at(trial, zeros)
+            contacts_trial = integ._contacts_at(trial)
             v_new = _forces.potential_energy(integ.work, contacts_trial, params)
             if v_new <= v_old + 1e-12 * (abs(v_old) + 1.0):
                 q = trial

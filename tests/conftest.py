@@ -43,6 +43,14 @@ def fd_jacobian(f, x, eps):
     return jac
 
 
+def stacked_velocity(system):
+    """The 6N velocity vector (v, omega per particle) of a system."""
+    v = np.zeros((system.n, 6))
+    v[:, :3] = system.vel
+    v[:, 3:] = system.omega
+    return v.ravel()
+
+
 def random_system(seed, n=None, walls=False, bonds=False, gravity=0.0,
                   kink_margin=1e-4):
     """Small random configuration with several overlaps.

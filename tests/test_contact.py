@@ -5,10 +5,9 @@ import pytest
 from vigrain import (Bond, NeighborList, ParticleSystem,
                      SingularGeometryError, StaleNeighborListError, Wall,
                      create_bonds, detect_contacts,
-                     detect_contacts_brute_force, pair_kinematics,
-                     wall_kinematics)
+                     detect_contacts_brute_force)
 
-from conftest import random_system
+from conftest import random_system, stacked_velocity
 
 
 def two_particles(gap, **kw):
@@ -56,93 +55,110 @@ class TestNeighborList:
             detect_contacts(system, nl)
 
 
+def bond_all_pairs(system):
+    """Bond every pair, so each pair has a contact row at any separation."""
+    system.bonds = [Bond(i, j, 1.0) for i in range(system.n)
+                    for j in range(i + 1, system.n)]
+    return system
+
+
 class TestPairKinematics:
+    """Pair rows of the contact set and their velocity split."""
+
     def test_head_on(self):
-        s = ParticleSystem([[1, 0, 0], [-1, 0, 0]], [[-2, 0, 0], [2, 0, 0]])
-        k = pair_kinematics(s, 0, 1)
-        npt.assert_array_equal(k.normal, [1, 0, 0])
-        npt.assert_array_equal(k.v_rel, [-4, 0, 0])
-        npt.assert_array_equal(k.v_n, [-4, 0, 0])
-        npt.assert_array_equal(k.v_t, 0.0)
+        s = ParticleSystem([[0.45, 0, 0], [-0.45, 0, 0]], [[-2, 0, 0], [2, 0, 0]])
+        rows = detect_contacts_brute_force(s)
+        npt.assert_array_equal(rows.normal, [[1, 0, 0]])
+        v_rel, v_n, v_t = rows.split_velocity(stacked_velocity(s))
+        npt.assert_array_equal(v_rel, [[-4, 0, 0]])
+        npt.assert_array_equal(v_n, [[-4, 0, 0]])
+        npt.assert_array_equal(v_t, 0.0)
 
     def test_effective_mass(self):
         s = two_particles(0.9)
-        assert pair_kinematics(s, 0, 1).m_eff == pytest.approx(0.5)
+        assert detect_contacts_brute_force(s).m_eff[0] == pytest.approx(0.5)
 
     def test_grazing(self):
         s = ParticleSystem([[0.9, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]])
-        k = pair_kinematics(s, 0, 1)
-        npt.assert_allclose(k.v_n, 0.0, atol=1e-15)
-        npt.assert_allclose(k.v_t, [0, 1, 0])
-        npt.assert_allclose(k.t_dir, [0, 1, 0])
+        _, v_n, v_t = detect_contacts_brute_force(s).split_velocity(stacked_velocity(s))
+        npt.assert_allclose(v_n, 0.0, atol=1e-15)
+        npt.assert_allclose(v_t, [[0, 1, 0]])
 
     def test_antisymmetry(self):
+        # relabelling the two bodies of a row flips every vector of it
         s = random_system(11, n=3)
-        a = pair_kinematics(s, 0, 1)
-        b = pair_kinematics(s, 1, 0)
-        npt.assert_allclose(b.normal, -a.normal)
-        npt.assert_allclose(b.v_rel, -a.v_rel)
-        npt.assert_allclose(b.v_n, -a.v_n)
-        npt.assert_allclose(b.v_t, -a.v_t)
-        assert b.delta == pytest.approx(a.delta)
+        s.bonds = [Bond(0, 1, 1.0)]
+        swap = [1, 0, 2]
+        t = ParticleSystem(s.pos[swap], s.vel[swap], s.omega[swap],
+                           bonds=[Bond(0, 1, 1.0)])
+        a, b = detect_contacts_brute_force(s), detect_contacts_brute_force(t)
+        ra, rb = a.n_pp, b.n_pp  # the bond row follows the Hookean rows
+        npt.assert_allclose(b.normal[rb], -a.normal[ra])
+        for va, vb in zip(a.split_velocity(stacked_velocity(s)),
+                          b.split_velocity(stacked_velocity(t))):
+            npt.assert_allclose(vb[rb], -va[ra])
+        assert b.delta[rb] == pytest.approx(a.delta[ra])
 
     def test_decomposition_identity(self):
-        s = random_system(23, n=5)
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                k = pair_kinematics(s, i, j)
-                recomposed = k.v_n + k.v_t + 0.5 * np.cross(
-                    s.omega[i] + s.omega[j], k.arm)
-                scale = max(1.0, np.max(np.abs(k.v_rel)))
-                npt.assert_allclose(recomposed, k.v_rel, atol=1e-12 * scale)
+        s = bond_all_pairs(random_system(23, n=5))
+        rows = detect_contacts_brute_force(s)
+        assert len(rows) == 10
+        v_rel, v_n, v_t = rows.split_velocity(stacked_velocity(s))
+        npt.assert_array_equal(v_rel, s.vel[rows.i] - s.vel[rows.j])
+        recomposed = v_n + v_t + 0.5 * np.cross(
+            s.omega[rows.i] + s.omega[rows.j], rows.arm)
+        scale = max(1.0, np.max(np.abs(v_rel)))
+        npt.assert_allclose(recomposed, v_rel, atol=1e-12 * scale)
 
     def test_normal_unit_length(self):
-        s = random_system(5, n=6)
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                k = pair_kinematics(s, i, j)
-                assert np.linalg.norm(k.normal) == pytest.approx(1.0, abs=1e-12)
+        rows = detect_contacts_brute_force(bond_all_pairs(random_system(5, n=6)))
+        assert len(rows) == 15
+        npt.assert_allclose(np.linalg.norm(rows.normal, axis=1), 1.0, atol=1e-12)
 
     def test_coincident_centers_raise(self):
         s = ParticleSystem([[0, 0, 0], [0, 0, 0]])
         with pytest.raises(SingularGeometryError):
-            pair_kinematics(s, 0, 1)
+            detect_contacts_brute_force(s)
 
     def test_delta_translation_invariant(self):
         s = random_system(31, n=4)
-        before = pair_kinematics(s, 0, 1).delta
+        s.bonds = [Bond(0, 1, 1.0)]
+        before = detect_contacts_brute_force(s).delta
         s.pos += np.array([3.7, -1.2, 0.4])
-        after = pair_kinematics(s, 0, 1).delta
-        assert after == pytest.approx(before, rel=1e-12)
+        after = detect_contacts_brute_force(s).delta
+        npt.assert_allclose(after, before, rtol=1e-12)
 
 
 class TestWallKinematics:
+    """Wall rows: the partner is a frozen ghost body."""
+
     floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
     def test_overlap(self):
         s = ParticleSystem([[0, 0, 0.45]], walls=[self.floor])
-        k = wall_kinematics(s, 0, self.floor, 0)
-        assert k.delta == pytest.approx(0.05)
-        npt.assert_array_equal(k.normal, [0, 0, 1])
+        rows = detect_contacts_brute_force(s)
+        assert rows.n_wall == 1 and rows.j[0] == s.n  # the ghost of wall 0
+        assert rows.delta[0] == pytest.approx(0.05)
+        npt.assert_array_equal(rows.normal, [[0, 0, 1]])
 
     def test_separation(self):
         s = ParticleSystem([[0, 0, 0.6]], walls=[self.floor])
-        assert wall_kinematics(s, 0, self.floor).delta == pytest.approx(-0.1)
+        assert len(detect_contacts_brute_force(s)) == 0
 
     def test_effective_mass_is_infinite_mass_limit(self):
         # m_eff against a wall equals the m_j -> infinity limit of the
         # two-body reduced mass; confirm with m_j = 1e6.
         s = ParticleSystem([[0, 0, 0.45]], walls=[self.floor])
-        k_wall = wall_kinematics(s, 0, self.floor)
-        assert k_wall.m_eff == pytest.approx(1.0)
+        m_wall = detect_contacts_brute_force(s).m_eff[0]
+        assert m_wall == pytest.approx(1.0)
         heavy = ParticleSystem([[0, 0, 0.45], [0, 0, -0.5]], m=[1.0, 1e6])
-        k_pair = pair_kinematics(heavy, 0, 1)
-        assert k_pair.m_eff == pytest.approx(k_wall.m_eff, rel=2e-6)
+        m_pair = detect_contacts_brute_force(heavy).m_eff[0]
+        assert m_pair == pytest.approx(m_wall, rel=2e-6)
 
     def test_velocity_is_particle_velocity(self):
         s = ParticleSystem([[0, 0, 0.45]], [[0.3, 0.2, -1.0]], walls=[self.floor])
-        k = wall_kinematics(s, 0, self.floor)
-        npt.assert_array_equal(k.v_rel, [0.3, 0.2, -1.0])
+        v_rel, _, _ = detect_contacts_brute_force(s).split_velocity(stacked_velocity(s))
+        npt.assert_array_equal(v_rel, [[0.3, 0.2, -1.0]])
 
     def test_unit_normal_enforced(self):
         with pytest.raises(ValueError):
@@ -162,6 +178,25 @@ class TestBonds:
         bonds = create_bonds(s, k_bond=10.0)
         assert [(b.i, b.j) for b in bonds] == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("threshold", [None, 0.05])
+    def test_matches_brute_force_loop(self, threshold):
+        # a random cloud plus pairs placed just inside and just outside
+        # the threshold on both sides of contact
+        rng = np.random.default_rng(3)
+        thresh = 0.01 if threshold is None else threshold
+        pos = list(rng.uniform(0.0, 6.0, (60, 3)))
+        for k, gap in enumerate((0.99, -0.99, 1.01, -1.01)):
+            base = np.array([20.0 + 3.0 * k, 0.0, 0.0])
+            pos += [base, base + [1.0 + gap * thresh, 0.0, 0.0]]
+        s = ParticleSystem(pos)
+        want = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)
+                if abs(1.0 - np.linalg.norm(s.pos[i] - s.pos[j])) < thresh]
+        got = create_bonds(s, threshold=threshold, k_bond=2.0)
+        assert [(b.i, b.j) for b in got] == want
+        assert (60, 61) in want and (62, 63) in want
+        assert (64, 65) not in want and (66, 67) not in want
+        assert all(b.k_bond == 2.0 for b in got)
+
 
 class TestDetectContacts:
     def test_separated_unbonded_empty(self):
@@ -174,21 +209,22 @@ class TestDetectContacts:
         s.bonds = [Bond(0, 1, 5.0)]
         contacts = detect_contacts(s, NeighborList.build(s))
         assert contacts.n_pp == 0 and contacts.n_bond == 1
-        assert contacts.b_delta[0] == pytest.approx(-0.2)
+        assert contacts.delta[0] == pytest.approx(-0.2)
+        assert contacts.k[0] == 5.0
 
     def test_wall_overlap_detected(self):
         wall = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
         s = ParticleSystem([[0, 0, 0.45]], walls=[wall])
         contacts = detect_contacts(s, NeighborList.build(s))
         assert contacts.n_wall == 1
-        assert contacts.w_delta[0] == pytest.approx(0.05)
+        assert contacts.delta[contacts.wall][0] == pytest.approx(0.05)
 
     def test_bonded_pair_excluded_from_hookean(self):
         s = two_particles(0.9)
         s.bonds = [Bond(0, 1, 5.0)]
         contacts = detect_contacts(s, NeighborList.build(s))
         assert contacts.n_pp == 0 and contacts.n_bond == 1
-        assert contacts.b_delta[0] == pytest.approx(0.1)
+        assert contacts.delta[0] == pytest.approx(0.1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_after_drift(self, seed):
@@ -200,5 +236,4 @@ class TestDetectContacts:
         got = detect_contacts(s, nl)
         want = detect_contacts_brute_force(s)
         assert got.signature() == want.signature()
-        npt.assert_allclose(got.pp_delta, want.pp_delta)
-        npt.assert_allclose(got.w_delta, want.w_delta)
+        npt.assert_allclose(got.delta, want.delta)

@@ -8,7 +8,7 @@ from vigrain import (Bond, ContactParams, ParticleSystem, Wall,
                      potential_gradient, potential_hessian)
 from vigrain.forces import contact_time
 
-from conftest import fd_gradient, random_system
+from conftest import fd_gradient, random_system, stacked_velocity
 
 UNDAMPED = ContactParams(k_n=195000.0)
 
@@ -21,13 +21,6 @@ def energy_of_positions(system, params):
         contacts = detect_contacts_brute_force(work)
         return potential_energy(work, contacts, params)
     return f
-
-
-def stacked_velocity(system):
-    v = np.zeros((system.n, 6))
-    v[:, :3] = system.vel
-    v[:, 3:] = system.omega
-    return v.ravel()
 
 
 class TestPotentialEnergy:
@@ -161,6 +154,41 @@ class TestNonconservativeForce:
         total = q.reshape(-1, 6)[:, :3].sum(axis=0)
         scale = np.max(np.abs(q)) + 1e-300
         npt.assert_allclose(total, 0.0, atol=1e-12 * scale)
+
+
+class TestWallLeverArm:
+    """A wall acts like an equal, infinitely heavy partner mirrored in it."""
+
+    def systems(self):
+        # a d = 2 sphere spinning on a floor with overlap 1e-3, and the
+        # same sphere touching a resting partner of mass 1e9 at the plane
+        z = 1.0 - 1e-3
+        floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        on_wall = ParticleSystem([[0, 0, z]], omega=[[0, 1.0, 0]], d=2.0,
+                                 walls=[floor])
+        on_pair = ParticleSystem([[0, 0, z], [0, 0, -z]],
+                                 omega=[[0, 1.0, 0], [0, 0, 0]], d=2.0,
+                                 m=[1.0, 1e9])
+        return on_wall, on_pair
+
+    params = ContactParams(k_n=1.0, gamma_n=0.0, gamma_t=2.0)
+
+    def test_damping_force_matches_heavy_partner(self):
+        on_wall, on_pair = self.systems()
+        q_wall = nonconservative_force(on_wall, detect_contacts_brute_force(on_wall),
+                                       stacked_velocity(on_wall), self.params)
+        q_pair = nonconservative_force(on_pair, detect_contacts_brute_force(on_pair),
+                                       stacked_velocity(on_pair), self.params)
+        assert q_pair[0] == pytest.approx(2.0, rel=1e-2)
+        npt.assert_allclose(q_wall, q_pair[:6], rtol=1e-2, atol=1e-12)
+
+    def test_damping_jacobian_matches_heavy_partner(self):
+        on_wall, on_pair = self.systems()
+        d_wall = dQ_dv(on_wall, detect_contacts_brute_force(on_wall),
+                       self.params).to_dense()
+        d_pair = dQ_dv(on_pair, detect_contacts_brute_force(on_pair),
+                       self.params).to_dense()
+        npt.assert_allclose(d_wall, d_pair[:6, :6], rtol=1e-2, atol=1e-12)
 
 
 class TestDQDV:

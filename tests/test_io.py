@@ -7,18 +7,18 @@ import pytest
 from vigrain import ConfigError, parse_config, render_config, run_simulation
 from vigrain.io import read_trajectory, write_diagnostics, write_trajectory
 from vigrain.runner import TrajectoryFrame
-from vigrain.scenarios import build_scenario
+from vigrain.scenarios import SCENARIO_BUILDERS, build_scenario
 
 
 class TestParseConfig:
-    def test_minimal_impact_defaults(self):
-        cfg = parse_config('{"scenario": "impact"}')
-        s = cfg.spec
-        assert s.name == "impact"
-        assert s.dy == 0.0
-        assert s.gamma == 30.0
-        assert s.alpha == 0.5
-        assert s.h_fraction == 160.0
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_minimal_defaults(self, name):
+        # the builder's own defaults are the config defaults
+        spec = parse_config(json.dumps({"scenario": name})).spec
+        assert spec == SCENARIO_BUILDERS[name]()[1]
+        if name == "impact":
+            assert (spec.dy, spec.gamma, spec.alpha, spec.h_fraction) == \
+                (0.0, 30.0, 0.5, 160.0)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="fricton"):

@@ -100,3 +100,8 @@ def test_bond_references_validated():
         ParticleSystem([[0, 0, 0], [2, 0, 0]], bonds=[Bond(0, 5, 1.0)])
     with pytest.raises(ValueError):
         Bond(1, 1, 1.0)
+
+
+def test_unequal_diameters_rejected():
+    with pytest.raises(ValueError, match="equal spheres"):
+        ParticleSystem([[0, 0, 0], [2, 0, 0]], d=[1.0, 1.5])

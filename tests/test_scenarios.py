@@ -134,5 +134,4 @@ def test_parameter_conventions():
     assert spec.k_n == pytest.approx(195000.0)
     params = spec.contact_params()
     assert params.gamma_t == pytest.approx(params.gamma_n / 2)
-    assert params.k_t == 0.0
     assert params.gamma_n == pytest.approx(30.0 * 0.5)

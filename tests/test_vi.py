@@ -129,28 +129,8 @@ class TestStiffness:
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
         guess = state.q + cfg.h * mass.solve(state.p)
-        for exact in (False, True):
-            cfg2 = VIConfig(h=cfg.h, alpha=0.5, exact_hessian=exact)
-            dense = stiffness(state.q, guess, cfg2, s, damped_params).to_dense()
-            npt.assert_allclose(dense, dense.T,
-                                atol=1e-12 * (1 + np.abs(dense).max()))
-
-    def test_faithful_and_exact_hessian_same_fixed_point(self, damped_params):
-        system, _ = build_impact(0.0, 30.0, 1.0)
-        # take the pair to mid-contact first
-        cfg = VIConfig(h=T_C / 80, alpha=0.5)
-        integ = VIIntegrator(system, damped_params, cfg)
-        state = pack_state(system)
-        t_a = 0.5
-        while state.t < t_a + 0.3 * T_C:
-            state, _ = integ.step(state)
-        q1_faithful, rep1 = implicit_position_solve(state.q, state.p, cfg,
-                                                    system, damped_params)
-        cfg_exact = VIConfig(h=cfg.h, alpha=0.5, exact_hessian=True)
-        q1_exact, rep2 = implicit_position_solve(state.q, state.p, cfg_exact,
-                                                 system, damped_params)
-        npt.assert_allclose(q1_faithful, q1_exact, atol=5e-10)
-        assert rep1.residual_norm < 1e-6 and rep2.residual_norm < 1e-6
+        dense = stiffness(state.q, guess, cfg, s, damped_params).to_dense()
+        npt.assert_allclose(dense, dense.T, atol=1e-12 * (1 + np.abs(dense).max()))
 
 
 class TestImplicitSolve:
