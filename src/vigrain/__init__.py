@@ -17,8 +17,9 @@ from .diagnostics import (FrameStats, ensemble_stats, kinetic_energy,
                           mean_kinetic, particle_kinetic, total_energy,
                           total_momentum, velocity_fluctuation)
 from .errors import (ConfigError, IndefiniteOperatorError,
-                     SingularGeometryError, SolverFailureError,
-                     StaleNeighborListError, StepFailureError, VigrainError)
+                     NonFiniteStateError, SingularGeometryError,
+                     SolverFailureError, StaleNeighborListError,
+                     StepFailureError, VigrainError)
 from .forces import (STIFFNESS_RATIO, ContactParams, contact_time, dQ_dv,
                      nonconservative_force, potential_energy,
                      potential_gradient, potential_hessian)

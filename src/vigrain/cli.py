@@ -9,6 +9,8 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .analytic import ImpactParams, collision_times, contact_phase_velocity
 from .errors import VigrainError
-from .forces import contact_time
+from .forces import STIFFNESS_RATIO, contact_time
 from .io import parse_config, write_diagnostics, write_trajectory
 from .runner import run_simulation
 from .scenarios import SCENARIO_BUILDERS, build_impact, build_scenario
@@ -57,8 +59,6 @@ def _cmd_scenario(args) -> int:
         overrides["integrator"] = args.integrator
     if args.v is not None:
         overrides["v"] = args.v
-    import json
-
     config = parse_config(json.dumps(overrides))
     spec = config.spec
     if args.steps is not None:
@@ -79,8 +79,7 @@ def _cmd_compare(args) -> int:
     config = parse_config(path.read_text())
     results = {}
     for integ in ("vi", "verlet"):
-        spec = parse_config(path.read_text()).spec
-        spec.integrator = integ
+        spec = dataclasses.replace(config.spec, integrator=integ)
         results[integ] = run_simulation(build_scenario(spec), spec)
     kt_vi = np.array([d.stats.kinetic_trans for d in results["vi"].diagnostics])
     kt_vv = np.array([d.stats.kinetic_trans for d in results["verlet"].diagnostics])
@@ -103,7 +102,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convergence(args) -> int:
     gamma = args.gamma
-    t_c = contact_time(195000.0)
+    t_c = contact_time(STIFFNESS_RATIO)
     v = 1.0 / (2.0 * 4.0 * t_c)  # contact onset exactly at t_A = 4 t_c
     oracle = ImpactParams(gamma=gamma, v=v)
     t_a, _, _ = collision_times(oracle)

@@ -33,5 +33,9 @@ class StepFailureError(SolverFailureError):
     """Newton iteration for an implicit step did not converge."""
 
 
+class NonFiniteStateError(SolverFailureError):
+    """A solve was handed, or produced, a NaN or infinite value."""
+
+
 class ConfigError(VigrainError):
     """A run configuration document is malformed or out of range."""

@@ -47,32 +47,10 @@ class RunConfig:
     spec: ScenarioSpec
 
     def to_document(self) -> dict:
-        s = self.spec
-        doc = {
-            "scenario": s.name,
-            "v": s.v,
-            "gamma": s.gamma,
-            "integrator": s.integrator,
-            "alpha": s.alpha,
-            "h_fraction": s.h_fraction,
-            "trajectory_every": s.trajectory_every,
-            "diagnostics_every": s.diagnostics_every,
-            "seed": s.seed,
-        }
-        if s.name == "impact":
-            doc["dy"] = s.dy
-        elif s.name == "walls":
-            doc["gap"] = s.gap
-            if s.max_collisions is not None:
-                doc["max_collisions"] = s.max_collisions
-        elif s.name == "bonded":
-            doc["bond_stiffness"] = s.bond_stiffness
-        elif s.name == "box":
-            doc["n_particles"] = s.n_particles
-            doc["box_size"] = s.box_size
-        if s.duration is not None:
-            doc["duration"] = s.duration
-        return doc
+        """Every schema key whose spec value is set."""
+        values = {key: getattr(self.spec, "name" if key == "scenario" else key)
+                  for key in _SCHEMA}
+        return {key: v for key, v in values.items() if v is not None}
 
 
 def _coerce(key: str, value):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndefiniteOperatorError, SolverFailureError
+from .errors import (IndefiniteOperatorError, NonFiniteStateError,
+                     SolverFailureError)
 
 BLOCK = 6
 
@@ -107,7 +108,8 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
     jacobi : precondition with the operator diagonal
     callback : optional, called with the current iterate after each update
 
-    Returns (x, iterations). Raises IndefiniteOperatorError on detected
+    Returns (x, iterations). Raises NonFiniteStateError when b or a
+    curvature p^T A p is not finite, IndefiniteOperatorError on detected
     negative curvature and SolverFailureError on non-convergence.
     """
     b = np.asarray(b, dtype=float).ravel()
@@ -116,6 +118,9 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
     if max_iter is None:
         max_iter = 10 * a.dim
     bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise NonFiniteStateError("CG right-hand side is not finite",
+                                  residual=float(bnorm), iterations=0)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     inv_diag = None
@@ -133,6 +138,10 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
     for it in range(1, max_iter + 1):
         ap = a.matvec(p)
         pap = p @ ap
+        if not np.isfinite(pap):
+            raise NonFiniteStateError(
+                "non-finite curvature encountered in CG",
+                residual=float(np.linalg.norm(r)), iterations=it)
         if pap <= 0.0:
             raise IndefiniteOperatorError(
                 "non-positive curvature encountered in CG",

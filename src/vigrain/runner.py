@@ -43,8 +43,7 @@ def _sample_frame(system: ParticleSystem, t: float) -> TrajectoryFrame:
                            system.omega.copy())
 
 
-def run_simulation(system: ParticleSystem, spec: ScenarioSpec,
-                   vi_cfg: VIConfig | None = None) -> RunResult:
+def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     """Advance a scenario to its duration or collision budget.
 
     Samples the trajectory and diagnostics at the cadences in the spec.
@@ -56,8 +55,7 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec,
     h = spec.h
     use_vi = spec.integrator == "vi"
     if use_vi:
-        cfg = vi_cfg or VIConfig(h=h, alpha=spec.alpha)
-        stepper = VIIntegrator(system, params, cfg)
+        stepper = VIIntegrator(system, params, VIConfig(h=h, alpha=spec.alpha))
     else:
         stepper = VerletIntegrator(system, params, h)
 
@@ -69,8 +67,7 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec,
     state = pack_state(system)
     result = RunResult()
     work = unpack_state(state, system)
-    contacts = detect_contacts(stepper.work, stepper.nlist) \
-        if stepper.nlist.is_valid(system.pos) else None
+    contacts = detect_contacts(stepper.work, stepper.nlist)
     result.frames.append(_sample_frame(work, state.t))
     result.diagnostics.append(DiagnosticsRow(
         ensemble_stats(work, contacts, params, t=state.t), 0, 0))

@@ -42,20 +42,17 @@ class ScenarioSpec:
     max_collisions: int | None = None
     trajectory_every: int = 1
     diagnostics_every: int = 1
-    d: float = 1.0
-    m: float = 1.0
-    k_n: float = STIFFNESS_RATIO
 
     @property
     def t_contact(self) -> float:
-        return contact_time(self.k_n, self.m)
+        return contact_time(STIFFNESS_RATIO)
 
     @property
     def h(self) -> float:
         return self.t_contact / self.h_fraction
 
     def contact_params(self) -> ContactParams:
-        return ContactParams.from_damping_ratio(self.gamma, self.m, self.k_n)
+        return ContactParams.from_damping_ratio(self.gamma)
 
 
 def build_impact(dy: float = 0.0, gamma: float = 30.0,

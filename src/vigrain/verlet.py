@@ -20,7 +20,7 @@ class VerletIntegrator:
     """Work buffers and neighbor list for a velocity-Verlet run."""
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
-                 h: float, skin: float | None = None):
+                 h: float):
         if h <= 0.0:
             raise ValueError("time step must be positive")
         self.system = system
@@ -28,7 +28,7 @@ class VerletIntegrator:
         self.h = h
         self.mass = assemble_mass_matrix(system)
         self.work = system.copy()
-        self.nlist = NeighborList.build(system, skin)
+        self.nlist = NeighborList.build(system)
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
 
     def _force(self, q: np.ndarray, velocity: np.ndarray) -> np.ndarray:

@@ -14,9 +14,15 @@ update p_{k+1} = (1/h) M [q_{k+1} - q_k] - h a grad V(q_{k+a}).
 
 The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
-because acceptance is residual-based. Dropping the inertial term and
-the momentum turns the same machinery into an energy minimizer, which
-is what quasi_static_solve does.
+because acceptance is residual-based. -K = M/h - (1/2) dQ/dv is SPD
+with a positive diagonal (-dQ/dv is positive semidefinite), so CG
+always runs Jacobi-preconditioned. Dropping the inertial term and the
+momentum turns the same machinery into an energy minimizer, which is
+what quasi_static_solve does; its Hessian has zero rotational rows, so
+that CG runs unpreconditioned.
+
+A step has one correct answer, so the solver tolerances and budgets
+are constants of the method, below; VIConfig holds only h and alpha.
 """
 from __future__ import annotations
 
@@ -33,34 +39,28 @@ from .linsolve import BLOCK, BlockSparseMatrix, cg_solve
 from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
 
 RESIDUAL_SCALE_TOL = 1e-8
+NEWTON_TOL = 1e-10       # last correction, in units of the smallest diameter
+NEWTON_MAX = 50          # corrections per step
+N_FREEZE = 10            # corrections after which the geometry is frozen
+CG_TOL = 1e-10           # relative residual of each linear solve
+CG_MAX_ITER = None       # None: cg_solve's 10 * dim
+STATIC_TOL = 1e-8        # quasi-static gradient, in units of k_n d
+STATIC_MAX_ITER = 100    # quasi-static Newton steps
 
 
 @dataclass
 class VIConfig:
-    """Knobs for the implicit stepper.
-
-    newton_tol is an absolute length (default 1e-10 times the smallest
-    diameter); static_tol is a force (default 1e-8 * k_n * d).
-    """
+    """The run configuration of the implicit stepper: the time step h
+    and the quadrature parameter alpha (0 or 1/2)."""
 
     h: float
     alpha: float = 0.5
-    newton_tol: float | None = None
-    newton_max: int = 50
-    cg_tol: float = 1e-10
-    cg_max_iter: int | None = None
-    jacobi: bool = False
-    n_freeze: int = 10
-    static_tol: float | None = None
-    static_max_iter: int = 100
 
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("time step must be positive")
         if self.alpha not in (0.0, 0.5):
             raise ValueError("alpha must be 0 or 1/2")
-        if self.newton_tol is not None and self.newton_tol <= 0.0:
-            raise ValueError("newton tolerance must be positive")
 
 
 @dataclass
@@ -94,29 +94,33 @@ def _mass_shifted(op: BlockSparseMatrix | None, mass_diag: np.ndarray,
     return BlockSparseMatrix(n, diag, out.pair_i, out.pair_j, out.pair_blocks)
 
 
+def _detect_at(work: ParticleSystem, nlist: NeighborList,
+               q: np.ndarray) -> ContactSet:
+    """Contacts with work's centres moved to q; rebuilds a stale nlist."""
+    work.pos[:] = q.reshape(work.n, BLOCK)[:, :3]
+    if not nlist.is_valid(work.pos):
+        nlist.rebuild(work)
+    return _contact._detect_unchecked(work, nlist)
+
+
 class VIIntegrator:
     """Owns the work buffers, mass matrix and neighbor list for a run."""
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
-                 cfg: VIConfig, skin: float | None = None):
+                 cfg: VIConfig):
         self.system = system
         self.params = params
         self.cfg = cfg
         self.mass = assemble_mass_matrix(system)
         self.work = system.copy()
-        self.nlist = NeighborList.build(system, skin)
+        self.nlist = NeighborList.build(system)
         self.d_min = float(np.min(system.d))
-        self.newton_tol = (cfg.newton_tol if cfg.newton_tol is not None
-                           else 1e-10 * self.d_min)
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
 
     # -- contact evaluation ------------------------------------------------
 
     def _contacts_at(self, q: np.ndarray) -> ContactSet:
-        self.work.pos[:] = q.reshape(self.work.n, BLOCK)[:, :3]
-        if not self.nlist.is_valid(self.work.pos):
-            self.nlist.rebuild(self.work)
-        return _contact._detect_unchecked(self.work, self.nlist)
+        return _detect_at(self.work, self.nlist, q)
 
     def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
         """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
@@ -131,7 +135,7 @@ class VIIntegrator:
         """Step residual at the trial q_it, with its midpoint terms.
 
         Detects contacts at the midpoint unless frozen ones are passed.
-        Returns (r, s_mid, grad V(q_mid), Q(q_mid, v_d)).
+        Returns (r, s_mid, grad V(q_mid), Q(q_mid, v_d), M (q_it - q_k)).
         """
         h, alpha = self.cfg.h, self.cfg.alpha
         v_d = (q_it - q_k) / h
@@ -140,10 +144,11 @@ class VIIntegrator:
         grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
         q_minus = _forces.nonconservative_force(self.work, s_mid, v_d, self.params) \
             if self._damped else np.zeros_like(q_k)
-        r = (p_k - self.mass.matvec(q_it - q_k) / h
+        m_dq = self.mass.matvec(q_it - q_k)
+        r = (p_k - m_dq / h
              - h * (1.0 - alpha) * grad_mid
              + 0.5 * h * q_minus + 0.5 * h * q_plus)
-        return r, s_mid, grad_mid, q_minus
+        return r, s_mid, grad_mid, q_minus, m_dq
 
     def _momentum(self, q_k: np.ndarray, q_next: np.ndarray,
                   s_mid: ContactSet | None = None) -> np.ndarray:
@@ -162,8 +167,7 @@ class VIIntegrator:
 
     def solve_position(self, q_k: np.ndarray, p_k: np.ndarray):
         """Newton loop for q_{k+1}; returns (q, final midpoint contacts, report)."""
-        cfg = self.cfg
-        h, alpha = cfg.h, cfg.alpha
+        h, alpha = self.cfg.h, self.cfg.alpha
         vel_k = self.mass.solve(p_k)
         s_k, q_plus = self._explicit_damping(q_k, vel_k)
 
@@ -174,26 +178,28 @@ class VIIntegrator:
         last_dq = np.inf
         cg_total = 0
         corrections = 0
-        g_floor = np.max(self.system.m) * abs(self.system.gravity)
+        newton_tol = NEWTON_TOL * self.d_min
+        # force scales that do not change over the Newton passes
+        fixed_scale = max(float(np.max(np.abs(q_plus), initial=0.0)),
+                          float(np.max(np.abs(p_k), initial=0.0)) / h,
+                          np.max(self.system.m) * abs(self.system.gravity),
+                          1e-300)
 
         while True:
-            r, s_mid, grad_mid, q_minus = self._residual(
+            r, s_mid, grad_mid, q_minus, m_dq = self._residual(
                 q_k, q_it, p_k, q_plus, s_mid if frozen else None)
             r_norm = float(np.max(np.abs(r), initial=0.0))
             fscale = max(float(np.max(np.abs(grad_mid), initial=0.0)),
                          float(np.max(np.abs(q_minus), initial=0.0)),
-                         float(np.max(np.abs(q_plus), initial=0.0)),
-                         float(np.max(np.abs(p_k), initial=0.0)) / h,
-                         float(np.max(np.abs(self.mass.matvec(q_it - q_k)),
-                                      initial=0.0)) / h ** 2,
-                         g_floor, 1e-300)
+                         float(np.max(np.abs(m_dq), initial=0.0)) / h ** 2,
+                         fixed_scale)
             tol_r = RESIDUAL_SCALE_TOL * h * fscale
-            if r_norm <= tol_r and (corrections == 0 or last_dq < self.newton_tol):
+            if r_norm <= tol_r and (corrections == 0 or last_dq < newton_tol):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 return q_it, s_mid, report
-            if corrections >= cfg.newton_max:
+            if corrections >= NEWTON_MAX:
                 raise StepFailureError(
-                    f"Newton did not converge in {cfg.newton_max} iterations",
+                    f"Newton did not converge in {NEWTON_MAX} iterations",
                     residual=r_norm, iterations=corrections)
             if frozen and a_cached is not None:
                 a_op = a_cached
@@ -201,17 +207,17 @@ class VIIntegrator:
                 a_op = self._neg_stiffness(s_mid)
                 if frozen:
                     a_cached = a_op
-            dq, it = cg_solve(a_op, r, tol=cfg.cg_tol,
-                              max_iter=cfg.cg_max_iter, jacobi=cfg.jacobi)
+            dq, it = cg_solve(a_op, r, tol=CG_TOL, max_iter=CG_MAX_ITER,
+                              jacobi=True)
             q_it = q_it + dq
             last_dq = float(np.max(np.abs(dq), initial=0.0))
             cg_total += it
             corrections += 1
-            if corrections >= cfg.n_freeze:
+            if corrections >= N_FREEZE:
                 frozen = True
 
     def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
-        """Assemble -K, the SPD operator handed to CG."""
+        """Assemble -K = M/h - (1/2) dQ/dv, the SPD operator handed to CG."""
         n = self.system.n
         op = None
         if self._damped and len(s_mid):
@@ -290,8 +296,7 @@ def vi_step(state: GeneralizedState, cfg: VIConfig, system: ParticleSystem,
     return VIIntegrator(system, params, cfg).step(state)
 
 
-def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
-                       params: ContactParams):
+def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
     """Newton descent on grad V(q) = 0, the inertia-free limit of the stepper.
 
     Works on the translational coordinates (the potential never reads
@@ -299,30 +304,28 @@ def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
     reports trouble, and steps are clamped and backtracked so the energy
     never increases. Returns (q_equilibrium, QuasiStaticReport).
     """
-    integ = VIIntegrator(system, params, cfg)
+    work = system.copy()
+    nlist = NeighborList.build(system)
     q = np.asarray(q_init, dtype=float).ravel().copy()
-    n = system.n
-    d_min = integ.d_min
-    tol = (cfg.static_tol if cfg.static_tol is not None
-           else 1e-8 * params.k_n * d_min)
+    d_min = float(np.min(system.d))
+    tol = STATIC_TOL * params.k_n * d_min
     max_step = 0.1 * d_min
 
-    contacts = integ._contacts_at(q)
-    for it in range(cfg.static_max_iter + 1):
-        grad = _forces.potential_gradient(integ.work, contacts, params)
+    contacts = _detect_at(work, nlist, q)
+    for it in range(STATIC_MAX_ITER + 1):
+        grad = _forces.potential_gradient(work, contacts, params)
         g_norm = float(np.max(np.abs(grad), initial=0.0))
         if g_norm < tol:
-            energy = _forces.potential_energy(integ.work, contacts, params)
+            energy = _forces.potential_energy(work, contacts, params)
             return q, QuasiStaticReport(it, g_norm, energy)
-        if it == cfg.static_max_iter:
+        if it == STATIC_MAX_ITER:
             break
-        hess = _forces.potential_hessian(integ.work, contacts, params)
+        hess = _forces.potential_hessian(work, contacts, params)
         lam = 0.0
         for _ in range(8):
             try:
                 op = hess if lam == 0.0 else hess.add_scalar_diagonal(lam)
-                dq, _ = cg_solve(op, -grad, tol=cfg.cg_tol,
-                                 max_iter=cfg.cg_max_iter)
+                dq, _ = cg_solve(op, -grad, tol=CG_TOL, max_iter=CG_MAX_ITER)
                 break
             except (IndefiniteOperatorError, SolverFailureError):
                 lam = max(10.0 * lam, 1e-8 * params.k_n)
@@ -332,11 +335,11 @@ def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
         step_inf = float(np.max(np.abs(dq), initial=0.0))
         if step_inf > max_step:
             dq *= max_step / step_inf
-        v_old = _forces.potential_energy(integ.work, contacts, params)
+        v_old = _forces.potential_energy(work, contacts, params)
         for _ in range(40):
             trial = q + dq
-            contacts_trial = integ._contacts_at(trial)
-            v_new = _forces.potential_energy(integ.work, contacts_trial, params)
+            contacts_trial = _detect_at(work, nlist, trial)
+            v_new = _forces.potential_energy(work, contacts_trial, params)
             if v_new <= v_old + 1e-12 * (abs(v_old) + 1.0):
                 q = trial
                 contacts = contacts_trial
@@ -347,4 +350,4 @@ def quasi_static_solve(q_init, cfg: VIConfig, system: ParticleSystem,
                                      residual=g_norm, iterations=it)
     raise SolverFailureError(
         f"quasi-static solve did not reach tolerance {tol:g}",
-        residual=g_norm, iterations=cfg.static_max_iter)
+        residual=g_norm, iterations=STATIC_MAX_ITER)

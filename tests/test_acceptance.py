@@ -236,7 +236,7 @@ def test_criterion_6_bonded_pair():
 def test_criterion_7_box_filling():
     system, spec = build_box(218, 6.0, seed=0, gamma=400.0)
     params = spec.contact_params()
-    cfg = VIConfig(h=spec.h, alpha=0.0, jacobi=True)
+    cfg = VIConfig(h=spec.h, alpha=0.0)
     integ = VIIntegrator(system, params, cfg)
     state = pack_state(system)
     series = []
@@ -262,7 +262,7 @@ def test_criterion_7_box_filling():
         decays.append(bool(np.all(wmax[1:] <= wmax[:-1] * 1.02)))
     monotone_ok = all(decays)
 
-    q_eq, report = quasi_static_solve(state.q, cfg, system, params)
+    q_eq, report = quasi_static_solve(state.q, system, params)
     qs_ok = report.newton_iters < 5
 
     ok = final_ok and monotone_ok and qs_ok
@@ -279,8 +279,7 @@ def test_criterion_8_quasi_static_floor():
     floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     system = ParticleSystem([[0, 0, 0.45]], walls=[floor], gravity=1.0)
     params = ContactParams(k_n=K_N)
-    cfg = VIConfig(h=1.0)
-    q_eq, _ = quasi_static_solve(pack_state(system).q, cfg, system, params)
+    q_eq, _ = quasi_static_solve(pack_state(system).q, system, params)
     delta = 0.5 - q_eq[2]
     rel = abs(delta - 1.0 / K_N) * K_N
     ok = rel <= 1e-10

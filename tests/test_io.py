@@ -52,7 +52,11 @@ class TestParseConfig:
         for doc in ('{"scenario": "impact", "dy": 0.1, "gamma": 5.0}',
                     '{"scenario": "walls", "gap": 1.05}',
                     '{"scenario": "bonded", "bond_stiffness": 1000.0}',
-                    '{"scenario": "box", "n_particles": 20, "seed": 4}'):
+                    '{"scenario": "box", "n_particles": 20, "seed": 4}',
+                    # keys another scenario's builder takes
+                    '{"scenario": "impact", "max_collisions": 3}',
+                    '{"scenario": "box", "dy": 0.5}',
+                    '{"scenario": "walls", "n_particles": 5}'):
             cfg = parse_config(doc)
             again = parse_config(render_config(cfg))
             assert again == cfg

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from vigrain import BlockSparseMatrix, SolverFailureError, cg_solve
-from vigrain.errors import IndefiniteOperatorError
+from vigrain.errors import IndefiniteOperatorError, NonFiniteStateError
 
 
 def random_block_matrix(rng, n_bodies, density=0.6):
@@ -137,6 +137,20 @@ class TestCG:
         with pytest.raises(SolverFailureError) as info:
             cg_solve(a, rng.normal(size=30), tol=1e-14, max_iter=2)
         assert info.value.residual is not None and info.value.residual > 0
+
+    def test_non_finite_rhs_fails_at_once(self):
+        b = np.ones(6)
+        b[2] = np.nan
+        with pytest.raises(NonFiniteStateError) as info:
+            cg_solve(BlockSparseMatrix(1, np.eye(6)[None]), b)
+        assert info.value.iterations == 0
+
+    def test_non_finite_curvature_fails_at_once(self):
+        diag = np.eye(6)[None].copy()
+        diag[0, 3, 3] = np.inf
+        with pytest.raises(NonFiniteStateError) as info:
+            cg_solve(BlockSparseMatrix(1, diag), np.ones(6))
+        assert info.value.iterations == 1
 
     def test_jacobi_preconditioning(self):
         rng = np.random.default_rng(4)

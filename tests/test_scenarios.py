@@ -119,7 +119,7 @@ class TestBox:
         state = pack_state(system)
         for _ in range(int(6.0 / spec.h)):
             state, _ = integ.step(state)
-        q_eq, _ = quasi_static_solve(state.q, cfg, system, params)
+        q_eq, _ = quasi_static_solve(state.q, system, params)
         delta = 0.5 - q_eq[2]
         assert delta == pytest.approx(1.0 / STIFFNESS_RATIO, rel=1e-6)
 
@@ -131,7 +131,7 @@ class TestBox:
 def test_parameter_conventions():
     # k d / (m g) = 195000, gamma_t = gamma_n / 2, no tangential spring
     _, spec = build_impact(0.0, 30.0, 1.0)
-    assert spec.k_n == pytest.approx(195000.0)
     params = spec.contact_params()
+    assert params.k_n == pytest.approx(195000.0)
     assert params.gamma_t == pytest.approx(params.gamma_n / 2)
     assert params.gamma_n == pytest.approx(30.0 * 0.5)

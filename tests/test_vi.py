@@ -1,13 +1,15 @@
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, ParticleSystem, StepFailureError,
-                     VIConfig, VIIntegrator, Wall, assemble_mass_matrix,
-                     build_impact, discrete_lagrangian,
-                     implicit_position_solve, momentum_update, pack_state,
-                     quasi_static_solve, residual, stiffness, unpack_state,
-                     vi_step)
+from vigrain import (ContactParams, NonFiniteStateError, ParticleSystem,
+                     StepFailureError, VIConfig, VIIntegrator, Wall,
+                     assemble_mass_matrix, build_impact, discrete_lagrangian,
+                     implicit_position_solve, linsolve, momentum_update,
+                     pack_state, quasi_static_solve, residual, stiffness,
+                     unpack_state, vi, vi_step)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
 from vigrain.forces import contact_time, nonconservative_force
@@ -155,9 +157,10 @@ class TestImplicitSolve:
             - cfg.h ** 2 * mass.solve(grad)
         npt.assert_allclose(q1, oracle, atol=1e-14)
 
-    def test_newton_failure_signal(self, damped_params):
+    def test_newton_failure_signal(self, damped_params, monkeypatch):
+        monkeypatch.setattr(vi, "NEWTON_MAX", 0)
         system, _ = build_impact(0.0, 30.0, 1.0)
-        cfg = VIConfig(h=T_C / 20, alpha=0.5, newton_max=0)
+        cfg = VIConfig(h=T_C / 20, alpha=0.5)
         state = pack_state(system)
         # march into contact, then ask for a step with no Newton budget
         state.q[0] -= 0.52
@@ -237,6 +240,40 @@ class TestVIStep:
             fscale = max(np.max(np.abs(prev.p)) / cfg.h, K_N * 0.01)
             assert np.max(np.abs(r)) <= 1e-8 * cfg.h * fscale
 
+    def test_non_finite_momentum_fails_at_once(self, damped_params):
+        system, _ = build_impact(0.0, 30.0, 1.0)
+        integ = VIIntegrator(system, damped_params, VIConfig(h=T_C / 40))
+        state = pack_state(system)
+        state.p[0] = np.nan
+        with pytest.raises(NonFiniteStateError) as info:
+            integ.step(state)
+        assert info.value.iterations == 0
+
+
+class TestSolverPath:
+    def test_only_the_stepper_preconditions_cg(self, damped_params, monkeypatch):
+        jacobi = {"step": [], "static": []}
+        stage = "step"
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(linsolve.cg_solve).bind(*args, **kwargs)
+            jacobi[stage].append(bound.arguments.get("jacobi", False))
+            return linsolve.cg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(vi, "cg_solve", spy)
+        system, _ = build_impact(0.0, 30.0, 1.0)
+        integ = VIIntegrator(system, damped_params, VIConfig(h=T_C / 40))
+        state = pack_state(system)
+        state.q[0] -= 0.499; state.q[6] += 0.499  # 8 steps before contact
+        for _ in range(40):
+            state, _ = integ.step(state)
+        stage = "static"
+        floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        s = ParticleSystem([[0, 0, 0.45]], walls=[floor], gravity=1.0)
+        quasi_static_solve(pack_state(s).q, s, UNDAMPED)
+        assert jacobi["step"] and all(jacobi["step"])
+        assert jacobi["static"] and not any(jacobi["static"])
+
 
 class TestConvergenceOrder:
     def test_velocity_error_slopes(self):
@@ -271,8 +308,7 @@ class TestQuasiStatic:
 
     def test_particle_on_floor_equilibrium_overlap(self):
         s = ParticleSystem([[0, 0, 0.45]], walls=[self.floor], gravity=1.0)
-        cfg = VIConfig(h=1.0)
-        q_eq, report = quasi_static_solve(pack_state(s).q, cfg, s, UNDAMPED)
+        q_eq, report = quasi_static_solve(pack_state(s).q, s, UNDAMPED)
         delta = 0.5 - q_eq[2]
         assert delta == pytest.approx(1.0 / K_N, rel=1e-10)
         assert report.newton_iters < 5
@@ -282,8 +318,7 @@ class TestQuasiStatic:
         s = ParticleSystem([[0, 0, 0], [1.0, 0, 0]])
         s.bonds = [Bond(0, 1, k_bond=K_N / 10)]
         s.pos[1, 0] = 1.2  # stretch after bonding
-        cfg = VIConfig(h=1.0)
-        q_eq, _ = quasi_static_solve(pack_state(s).q, cfg, s, UNDAMPED)
+        q_eq, _ = quasi_static_solve(pack_state(s).q, s, UNDAMPED)
         sep = abs(q_eq[6] - q_eq[0])
         assert sep == pytest.approx(1.0, abs=1e-8)
 
@@ -307,7 +342,7 @@ class TestQuasiStatic:
             state, _ = integ.step(state)
         speed = np.max(np.abs(state.p))
         assert speed < 1e-6
-        q_eq, report = quasi_static_solve(state.q, cfg, s, params)
+        q_eq, report = quasi_static_solve(state.q, s, params)
         assert report.newton_iters < 5
         moved = np.max(np.abs(q_eq.reshape(-1, 6)[:, :3]
                               - state.q.reshape(-1, 6)[:, :3]))
