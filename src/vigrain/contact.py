@@ -1,12 +1,17 @@
 """Contact detection: the rows of the one contact law.
 
 A Verlet neighbor list caches candidate pairs inside a skin margin and
-stays valid until some particle has moved half the skin. Every active
-contact becomes one row of a ContactSet and follows the soft-sphere
-convention: overlap delta = d - |r_ij|, normal n_ij = r_ij / |r_ij| and
-lever arm r_ij = r_i - r_j, with the relative velocity split into a
-normal part and a tangential part that includes the rigid-body surface
-term from the angular velocities.
+stays valid until some particle has moved half the skin. It is built
+from a uniform cell list (Verlet, Phys. Rev. 159, 98 (1967); Allen &
+Tildesley, Computer Simulation of Liquids) in O(N) time and memory:
+cells of edge at least max(d) + skin, each scanned against itself and
+its 13 half-shell neighbours.
+
+Every active contact becomes one row of a ContactSet and follows the
+soft-sphere convention: overlap delta = d - |r_ij|, normal
+n_ij = r_ij / |r_ij| and lever arm r_ij = r_i - r_j, with the relative
+velocity split into a normal part and a tangential part that includes
+the rigid-body surface term from the angular velocities.
 
 A bond is a row with its own stiffness that stays active at any delta.
 A wall is a row whose partner is a frozen ghost body: zero velocity,
@@ -15,13 +20,22 @@ arm = d_i n, the arm of an equal partner touching at the plane.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .errors import SingularGeometryError, StaleNeighborListError
+from .errors import (NonFiniteStateError, SingularGeometryError,
+                     StaleNeighborListError)
 from .linsolve import BLOCK
 from .model import Bond, ParticleSystem
 
 DEFAULT_SKIN_FACTOR = 0.3
+
+# cell offsets of a half shell, self first: (0, 0, 0) and the 13 that
+# follow it in lexicographic order, so each neighbouring cell pair is
+# visited from one side only
+_HALF_SHELL = np.array([o for o in itertools.product((-1, 0, 1), repeat=3)
+                        if o >= (0, 0, 0)], dtype=np.int64)
 
 
 class NeighborList:
@@ -46,15 +60,59 @@ class NeighborList:
 
     @staticmethod
     def _candidate_pairs(pos: np.ndarray, d: np.ndarray, skin: float) -> np.ndarray:
+        """Every pair i < j with |r_ij| < (d_i + d_j)/2 + skin, in (i, j) order.
+
+        Raises NonFiniteStateError when a position is NaN or infinite.
+        """
+        finite = np.isfinite(pos).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteStateError(
+                f"particle {bad} has a non-finite position {pos[bad]}",
+                iterations=0)
         n = pos.shape[0]
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)
-        iu, ju = np.triu_indices(n, k=1)
-        rij = pos[iu] - pos[ju]
-        dist = np.linalg.norm(rij, axis=1)
-        cutoff = 0.5 * (d[iu] + d[ju]) + skin
-        keep = dist < cutoff
-        return np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
+        lo = pos.min(axis=0)
+        span = pos.max(axis=0) - lo
+        # Any edge >= max(d) + skin finds every pair. The margin covers the
+        # rounding of the cell coordinates, which grows with the span, and
+        # caps them at 2^40 per axis.
+        edge = ((float(np.max(d)) + skin) * (1.0 + 2.0 ** -40)
+                + float(np.max(span)) * 2.0 ** -40)
+        while True:
+            cx, cy, cz = (_gap_ranks(c) for c in np.floor((pos - lo) / edge).T)
+            # one empty cell on either side, so no neighbour offset wraps
+            dims = [int(c.max()) + 2 for c in (cx, cy, cz)]
+            if dims[0] * dims[1] * dims[2] < 2 ** 62:   # the key fits in int64
+                break
+            edge *= 2.0
+        key = (cx * dims[1] + cy) * dims[2] + cz
+        order = np.argsort(key, kind="stable")
+        cells, start, count = np.unique(key[order], return_index=True,
+                                        return_counts=True)
+
+        # occupied cell a against occupied cell b = a + offset
+        target = cells + (_HALF_SHELL @ [dims[1] * dims[2], dims[2], 1])[:, None]
+        slot = np.minimum(np.searchsorted(cells, target), cells.size - 1)
+        off, a = np.nonzero(cells[slot] == target)
+        b = slot[off, a]
+
+        # expand each cell pair into its count[a] * count[b] particle pairs
+        size = count[a] * count[b]
+        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        row, col = np.divmod(local, np.repeat(count[b], size))
+        si = np.repeat(start[a], size) + row
+        sj = np.repeat(start[b], size) + col
+        keep = (si < sj) | np.repeat(off > 0, size)   # a pair within a cell once
+        # a cheap cut that keeps every pair within the edge, then the exact test
+        keep &= sum((c[si] - c[sj]) ** 2 for c in pos[order].T.copy()) < edge * edge
+        i, j = order[si[keep]], order[sj[keep]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        near = np.linalg.norm(pos[i] - pos[j], axis=1) < 0.5 * (d[i] + d[j]) + skin
+        i, j = i[near], j[near]
+        by_ij = np.lexsort((j, i))
+        return np.stack([i[by_ij], j[by_ij]], axis=1)
 
     def is_valid(self, pos: np.ndarray) -> bool:
         if pos.shape != self.ref_pos.shape:
@@ -65,6 +123,18 @@ class NeighborList:
     def rebuild(self, system: ParticleSystem) -> None:
         self.pairs = self._candidate_pairs(system.pos, system.d, self.skin)
         self.ref_pos = system.pos.copy()
+
+
+def _gap_ranks(c: np.ndarray) -> np.ndarray:
+    """Integer cell coordinates along one axis with every gap closed to two.
+
+    Adjacent cells stay adjacent and no others become so, while the
+    coordinates stay below 2 N however far apart the particles are. They
+    start at 1, so every neighbour of an occupied cell has one >= 0.
+    """
+    u, inv = np.unique(c, return_inverse=True)
+    rank = np.concatenate([[1.0], 1.0 + np.cumsum(np.minimum(np.diff(u), 2.0))])
+    return rank.astype(np.int64)[inv]
 
 
 def create_bonds(system: ParticleSystem, threshold: float | None = None,
@@ -186,7 +256,8 @@ def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet
     cand = nlist.pairs
     if not (cand.size or bonds.size or wi.size):    # nothing is near anything
         return ContactSet.empty(n, normals.shape[0])
-    cand = cand[~np.isin(cand[:, 0] * n + cand[:, 1], bonds[:, 0] * n + bonds[:, 1])]
+    if bonds.size:
+        cand = cand[~np.isin(cand[:, 0] * n + cand[:, 1], bonds[:, 0] * n + bonds[:, 1])]
     pairs = np.concatenate([cand, bonds])
     r_ij = pos[pairs[:, 0]] - pos[pairs[:, 1]]
     dist = np.sqrt((r_ij * r_ij).sum(axis=1))
@@ -222,6 +293,6 @@ def build_neighbor_list(system: ParticleSystem,
 
 
 def detect_contacts_brute_force(system: ParticleSystem) -> ContactSet:
-    """Contact detection against all O(N^2) pairs; the oracle for the list path."""
-    nlist = NeighborList.build(system, skin=float(np.max(system.d)) * 1e3)
-    return detect_contacts(system, nlist)
+    """Contact detection against all O(N^2) pairs; the oracle for the cell list."""
+    pairs = np.stack(np.triu_indices(system.n, k=1), axis=1)
+    return detect_contacts(system, NeighborList(pairs, np.inf, system.pos))

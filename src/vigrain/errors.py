@@ -34,7 +34,7 @@ class StepFailureError(SolverFailureError):
 
 
 class NonFiniteStateError(SolverFailureError):
-    """A solve was handed, or produced, a NaN or infinite value."""
+    """A solve or the neighbour search met a NaN or infinite value."""
 
 
 class ConfigError(VigrainError):

@@ -37,6 +37,7 @@ class BlockSparseMatrix:
         if np.any(self.pair_i >= self.pair_j):
             raise ValueError("pair blocks must be stored with i < j")
         self._scatter = None
+        self._inv_diag = None
 
     @property
     def dim(self) -> int:
@@ -65,9 +66,17 @@ class BlockSparseMatrix:
                              minlength=y.size)
         return y
 
-    def diagonal(self) -> np.ndarray:
-        """Scalar diagonal of the assembled matrix, length 6 N."""
-        return np.einsum("naa->na", self.diag).ravel().copy()
+    def inverse_diagonal(self) -> np.ndarray:
+        """1 / the scalar diagonal, length 6 N; computed once per operator.
+
+        Raises IndefiniteOperatorError when a diagonal entry is not positive.
+        """
+        if self._inv_diag is None:
+            diag = np.einsum("naa->na", self.diag).ravel()
+            if np.any(diag <= 0.0):
+                raise IndefiniteOperatorError("operator diagonal is not positive")
+            self._inv_diag = 1.0 / diag
+        return self._inv_diag
 
     def scaled(self, c: float) -> "BlockSparseMatrix":
         return BlockSparseMatrix(self.n_bodies, c * self.diag,
@@ -101,7 +110,7 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
 
     Parameters
     ----------
-    a : operator with .matvec and .dim (and .diagonal() when jacobi=True)
+    a : operator with .matvec and .dim (and .inverse_diagonal() when jacobi=True)
     b : right-hand side
     tol : relative residual target, ||A x - b|| <= tol ||b||
     max_iter : iteration cap, default 10 * dim
@@ -123,13 +132,7 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
                                   residual=float(bnorm), iterations=0)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    inv_diag = None
-    if jacobi:
-        diag = a.diagonal()
-        if np.any(diag <= 0.0):
-            raise IndefiniteOperatorError("operator diagonal is not positive")
-        inv_diag = 1.0 / diag
-
+    inv_diag = a.inverse_diagonal() if jacobi else None
     x = np.zeros_like(b)
     r = b.copy()
     z = r * inv_diag if inv_diag is not None else r

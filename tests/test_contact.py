@@ -1,13 +1,52 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vigrain import (Bond, NeighborList, ParticleSystem,
+from vigrain import (Bond, NeighborList, NonFiniteStateError, ParticleSystem,
                      SingularGeometryError, StaleNeighborListError, Wall,
-                     create_bonds, detect_contacts,
+                     build_box, create_bonds, detect_contacts,
                      detect_contacts_brute_force)
 
 from conftest import random_system, stacked_velocity
+
+
+def all_pairs(pos, d, skin):
+    """The all-pairs search the cell list replaces, with its exact test."""
+    iu, ju = np.triu_indices(pos.shape[0], k=1)
+    keep = np.linalg.norm(pos[iu] - pos[ju], axis=1) < 0.5 * (d[iu] + d[ju]) + skin
+    return np.stack([iu[keep], ju[keep]], axis=1)
+
+
+def build_peak_bytes(system):
+    """tracemalloc peak of one candidate-pair build."""
+    tracemalloc.start()
+    try:
+        NeighborList._candidate_pairs(system.pos, system.d, 0.3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def clouds(draw):
+    """Particle clouds: clustered or spread, below zero, flat, on cell edges."""
+    n = draw(st.integers(0, 60))
+    diameter = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    skin = draw(st.floats(1e-3, 5.0))
+    unit = hnp.arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0))
+    spread = draw(st.sampled_from([0.3, 2.0, 20.0]))
+    pos = draw(unit) * spread * diameter + draw(st.floats(-50.0, 50.0))
+    for axis in draw(st.sets(st.integers(0, 2), max_size=2)):
+        pos[:, axis] = draw(st.floats(-3.0, 3.0))         # a zero-extent axis
+    if draw(st.booleans()):     # particles on the boundaries of cells of the
+        edge = diameter + skin  # search's own edge, at exact cutoff distances
+        pos = np.round(pos / edge) * edge
+    return pos, np.full(n, diameter), skin
 
 
 def two_particles(gap, **kw):
@@ -36,6 +75,50 @@ class TestNeighborList:
                 if np.linalg.norm(pos[i] - pos[j]) < 1.0 + skin:
                     expected.add((i, j))
         assert listed == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(clouds())
+    def test_cell_list_equals_all_pairs(self, cloud):
+        pos, d, skin = cloud
+        got = NeighborList._candidate_pairs(pos, d, skin)
+        assert got.dtype == np.int64 and got.shape[1] == 2
+        npt.assert_array_equal(got, all_pairs(pos, d, skin))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_far_outlier(self, sign):
+        # 1e9 d away on every axis: a dense grid would need ~1e26 cells and
+        # an int64 key over it would overflow. With the outlier at -1e9 the
+        # cell coordinates round by ~1e-7 d, enough to put this pair, just
+        # inside the cutoff, two cells apart unless the edge allows for it.
+        box, _ = build_box()
+        pair = [[2.2999999645255738, 50.0, 50.0], [3.5999999645255736, 50.0, 50.0]]
+        s = ParticleSystem(np.vstack([box.pos, pair, np.full(3, sign * 1e9)]))
+        assert build_peak_bytes(s) < 2e6
+        got = NeighborList._candidate_pairs(s.pos, s.d, 0.3)
+        npt.assert_array_equal(got, all_pairs(s.pos, s.d, 0.3))
+        assert got.shape == (958, 2)
+
+    def test_build_memory_is_linear(self):
+        # the all-pairs search peaks near 600 MB at N = 4000
+        small, _ = build_box(n_particles=4000, box_size=16)
+        large, _ = build_box(n_particles=16000, box_size=32)
+        peak_small, peak_large = build_peak_bytes(small), build_peak_bytes(large)
+        assert peak_small < 32e6
+        assert peak_large < 6 * peak_small
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_fails(self, bad):
+        s = random_system(2, n=6)
+        s.pos[3, 1] = bad
+        with pytest.raises(NonFiniteStateError, match="particle 3"):
+            NeighborList.build(s)
+
+    def test_oracle_is_independent_of_the_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the oracle ran the neighbour search")
+        monkeypatch.setattr(NeighborList, "_candidate_pairs", staticmethod(fail))
+        rows = detect_contacts_brute_force(two_particles(0.9))
+        assert rows.signature() == (1, (0,), (1,))
 
     def test_displacement_guard(self):
         system = two_particles(1.2)

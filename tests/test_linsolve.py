@@ -152,6 +152,19 @@ class TestCG:
             cg_solve(BlockSparseMatrix(1, diag), np.ones(6))
         assert info.value.iterations == 1
 
+    def test_jacobi_inverse_computed_once_per_operator(self):
+        a = block_sparse_from_dense(random_spd_dense(np.random.default_rng(5), 18))
+        inv = a.inverse_diagonal()
+        assert a.inverse_diagonal() is inv
+        npt.assert_array_equal(inv, 1.0 / np.diag(a.to_dense()))
+
+    def test_jacobi_rejects_non_positive_diagonal(self):
+        diag = np.eye(6)[None].copy()
+        diag[0, 2, 2] = 0.0
+        for _ in range(2):
+            with pytest.raises(IndefiniteOperatorError):
+                cg_solve(BlockSparseMatrix(1, diag), np.ones(6), jacobi=True)
+
     def test_jacobi_preconditioning(self):
         rng = np.random.default_rng(4)
         dense = random_spd_dense(rng, 18)

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, ParticleSystem, VIConfig, VIIntegrator,
-                     VerletIntegrator, build_impact, build_walls,
-                     detect_contacts, pack_state, total_energy, unpack_state,
-                     verlet_step)
+from vigrain import (ContactParams, NonFiniteStateError, ParticleSystem,
+                     VIConfig, VIIntegrator, VerletIntegrator, build_impact,
+                     build_walls, detect_contacts, pack_state, total_energy,
+                     unpack_state, verlet_step)
 from vigrain.contact import NeighborList
 from vigrain.forces import contact_time
 
@@ -32,6 +32,15 @@ def test_single_step_function_matches_integrator():
     b = VerletIntegrator(system, params, 0.001).step(state)
     npt.assert_array_equal(a.q, b.q)
     npt.assert_array_equal(a.p, b.p)
+
+
+def test_non_finite_momentum_fails_at_once():
+    system, _ = build_impact(0.0, 30.0, 1.0)
+    params = ContactParams.from_damping_ratio(30.0, 1.0)
+    state = pack_state(system)
+    state.p[0] = np.nan
+    with pytest.raises(NonFiniteStateError, match="particle 0"):
+        VerletIntegrator(system, params, T_C / 40).step(state)
 
 
 def test_undamped_energy_bounded_many_steps():
