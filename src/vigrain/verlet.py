@@ -11,6 +11,7 @@ import numpy as np
 
 from . import forces as _forces
 from .contact import NeighborList, _detect_unchecked
+from .errors import NonFiniteStateError
 from .forces import ContactParams
 from .linsolve import BLOCK
 from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
@@ -54,8 +55,15 @@ class VerletIntegrator:
         v_half = v + 0.5 * h * self.mass.solve(self._force(state.q, v))
         q_new = state.q + h * v_half
         v_new = v_half + 0.5 * h * self.mass.solve(self._force(q_new, v_half))
-        return GeneralizedState(q=q_new, p=self.mass.matvec(v_new),
-                                t=state.t + h, k=state.k + 1)
+        p_new = self.mass.matvec(v_new)
+        # a NaN in the orientations never reaches the neighbour-list guard
+        for name, x in (("q", q_new), ("p", p_new)):
+            if not np.isfinite(x).all():
+                bad = int(np.flatnonzero(~np.isfinite(x))[0]) // BLOCK
+                raise NonFiniteStateError(
+                    f"Verlet step {state.k} (t = {state.t:g}) gave particle "
+                    f"{bad} a non-finite {name}", iterations=0)
+        return GeneralizedState(q=q_new, p=p_new, t=state.t + h, k=state.k + 1)
 
 
 def verlet_step(state: GeneralizedState, h: float, system: ParticleSystem,

@@ -16,10 +16,26 @@ The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
 because acceptance is residual-based. -K = M/h - (1/2) dQ/dv is SPD
 with a positive diagonal (-dQ/dv is positive semidefinite), so CG
-always runs Jacobi-preconditioned. Dropping the inertial term and the
-momentum turns the same machinery into an energy minimizer, which is
-what quasi_static_solve does; its Hessian has zero rotational rows, so
-that CG runs unpreconditioned.
+always runs Jacobi-preconditioned.
+
+After a correction, an iterate is accepted when the residual passes
+its test and the next Newton correction is known to be below
+NEWTON_TOL d_min: either the last correction was that small, or the
+residual was evaluated on the contact set -K was assembled from and
+|r|_2 h / min(diag M) is below the tolerance. On a fixed contact set
+(alpha = 0, or any pass after N_FREEZE) the residual is affine in
+q_{k+1} and K is its exact Jacobian, so the next correction is
+(-K)^-1 r; -K >= M/h bounds its size by |r|_2 h / min(diag M)
+without a further solve. On passes that re-detect contacts (alpha =
+1/2 before N_FREEZE) -K leaves out the potential Hessian and the bound
+does not hold, so they rely on the size of the last correction.
+(Stopping on a bound for the next step is the usual inexact-Newton
+test; Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995.)
+
+Dropping the inertial term and the momentum turns the same machinery
+into an energy minimizer, which is what quasi_static_solve does; its
+Hessian has zero rotational rows, so that CG runs unpreconditioned.
 
 A step has one correct answer, so the solver tolerances and budgets
 are constants of the method, below; VIConfig holds only h and alpha.
@@ -68,7 +84,9 @@ class StepReport:
     """What one implicit step cost.
 
     newton_iters counts correction solves; a step accepted at the
-    initial guess reports zero.
+    initial guess reports zero. On a frozen contact set one correction
+    usually suffices: the residual then bounds the next correction (see
+    the module docstring), so no second solve is made to measure it.
     """
 
     newton_iters: int
@@ -82,16 +100,6 @@ class QuasiStaticReport:
     newton_iters: int
     gradient_norm: float
     energy: float
-
-
-def _mass_shifted(op: BlockSparseMatrix | None, mass_diag: np.ndarray,
-                  scale: float, n: int) -> BlockSparseMatrix:
-    """scale * diag(M) plus an optional block operator."""
-    out = op if op is not None else BlockSparseMatrix(n)
-    diag = out.diag.copy()
-    idx = np.arange(BLOCK)
-    diag[:, idx, idx] += scale * mass_diag.reshape(n, BLOCK)
-    return BlockSparseMatrix(n, diag, out.pair_i, out.pair_j, out.pair_blocks)
 
 
 def _detect_at(work: ParticleSystem, nlist: NeighborList,
@@ -115,6 +123,8 @@ class VIIntegrator:
         self.work = system.copy()
         self.nlist = NeighborList.build(system)
         self.d_min = float(np.min(system.d))
+        # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
+        self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
 
     # -- contact evaluation ------------------------------------------------
@@ -175,6 +185,7 @@ class VIIntegrator:
         s_mid = s_k
         frozen = (alpha == 0.0)
         a_cached = None  # -K is constant while the geometry is frozen
+        k_set = None     # the contact set -K was assembled from
         last_dq = np.inf
         cg_total = 0
         corrections = 0
@@ -194,7 +205,10 @@ class VIIntegrator:
                          float(np.max(np.abs(m_dq), initial=0.0)) / h ** 2,
                          fixed_scale)
             tol_r = RESIDUAL_SCALE_TOL * h * fscale
-            if r_norm <= tol_r and (corrections == 0 or last_dq < newton_tol):
+            if r_norm <= tol_r and (
+                    corrections == 0 or last_dq < newton_tol
+                    or (s_mid is k_set and float(np.linalg.norm(r))
+                        * self._inv_k_bound < newton_tol)):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 return q_it, s_mid, report
             if corrections >= NEWTON_MAX:
@@ -205,6 +219,7 @@ class VIIntegrator:
                 a_op = a_cached
             else:
                 a_op = self._neg_stiffness(s_mid)
+                k_set = s_mid
                 if frozen:
                     a_cached = a_op
             dq, it = cg_solve(a_op, r, tol=CG_TOL, max_iter=CG_MAX_ITER,
@@ -218,11 +233,14 @@ class VIIntegrator:
 
     def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
         """Assemble -K = M/h - (1/2) dQ/dv, the SPD operator handed to CG."""
-        n = self.system.n
-        op = None
         if self._damped and len(s_mid):
             op = _forces.dQ_dv(self.work, s_mid, self.params).scaled(-0.5)
-        return _mass_shifted(op, self.mass.diag, 1.0 / self.cfg.h, n)
+        else:
+            op = BlockSparseMatrix(self.system.n)
+        # op is freshly built, so M/h goes into its diagonal in place
+        idx = np.arange(BLOCK)
+        op.diag[:, idx, idx] += (1.0 / self.cfg.h) * self.mass.diag.reshape(-1, BLOCK)
+        return op
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
         q_next, s_mid, report = self.solve_position(state.q, state.p)

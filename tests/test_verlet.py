@@ -43,6 +43,16 @@ def test_non_finite_momentum_fails_at_once():
         VerletIntegrator(system, params, T_C / 40).step(state)
 
 
+def test_non_finite_rotation_fails_at_once():
+    # a NaN spin never moves a centre, so the neighbour list cannot see it
+    system, _ = build_impact(0.0, 30.0, 1.0)
+    params = ContactParams.from_damping_ratio(30.0, 1.0)
+    state = pack_state(system)
+    state.p[3] = np.nan
+    with pytest.raises(NonFiniteStateError, match="particle 0 a non-finite q"):
+        VerletIntegrator(system, params, T_C / 40).step(state)
+
+
 def test_undamped_energy_bounded_many_steps():
     # gamma = 0, no external force: energy stays in a band with no
     # monotone drift over >= 1e5 steps

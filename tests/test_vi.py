@@ -6,10 +6,10 @@ import pytest
 
 from vigrain import (ContactParams, NonFiniteStateError, ParticleSystem,
                      StepFailureError, VIConfig, VIIntegrator, Wall,
-                     assemble_mass_matrix, build_impact, discrete_lagrangian,
-                     implicit_position_solve, linsolve, momentum_update,
-                     pack_state, quasi_static_solve, residual, stiffness,
-                     unpack_state, vi, vi_step)
+                     assemble_mass_matrix, build_box, build_impact,
+                     discrete_lagrangian, implicit_position_solve, linsolve,
+                     momentum_update, pack_state, quasi_static_solve, residual,
+                     stiffness, unpack_state, vi, vi_step)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
 from vigrain.forces import contact_time, nonconservative_force
@@ -248,6 +248,51 @@ class TestVIStep:
         with pytest.raises(NonFiniteStateError) as info:
             integ.step(state)
         assert info.value.iterations == 0
+
+
+def pressed_box():
+    """A damped 18-particle box whose layers start pressed together."""
+    system, spec = build_box(n_particles=18, box_size=3)
+    system.pos[:, 2] -= 0.0045  # the bottom layer into the floor
+    system.vel[:, 2] = -0.5
+    return system, spec.contact_params(), VIConfig(h=spec.h, alpha=0.0)
+
+
+def forced_correction(q_k, p_k, q_next, cfg, system, params):
+    """The Newton correction a further solve would make at an accepted
+    iterate, and the bound |r|_2 h / min(diag M) the stepper uses."""
+    r = residual(q_k, q_next, p_k, cfg, system, params)
+    neg_k = stiffness(q_k, q_next, cfg, system, params).scaled(-1.0)
+    dq, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, jacobi=True)
+    bound = np.linalg.norm(r) * cfg.h / assemble_mass_matrix(system).diag.min()
+    return float(np.max(np.abs(dq))), bound
+
+
+class TestNewtonAcceptance:
+    def test_frozen_contacts_take_one_correction(self):
+        system, params, cfg = pressed_box()
+        integ = VIIntegrator(system, params, cfg)
+        state = pack_state(system)
+        for _ in range(30):
+            prev = state
+            state, report = integ.step(state)
+            assert report.n_contacts > 0
+            assert report.newton_iters == 1
+            dq, bound = forced_correction(prev.q, prev.p, state.q, cfg,
+                                          system, params)
+            assert dq <= bound < vi.NEWTON_TOL * float(np.min(system.d))
+
+    def test_second_correction_when_the_bound_fails(self, monkeypatch):
+        system, params, cfg = pressed_box()
+        state = pack_state(system)
+        q1, report = implicit_position_solve(state.q, state.p, cfg, system, params)
+        assert report.newton_iters == 1
+        dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params)
+        # a tolerance the bound misses but the next correction meets
+        monkeypatch.setattr(vi, "NEWTON_TOL", np.sqrt(dq * bound))
+        q2, report = implicit_position_solve(state.q, state.p, cfg, system, params)
+        assert report.newton_iters == 2
+        assert np.max(np.abs(q2 - q1)) < vi.NEWTON_TOL * np.min(system.d)
 
 
 class TestSolverPath:
