@@ -117,8 +117,10 @@ class NeighborList:
     def is_valid(self, pos: np.ndarray) -> bool:
         if pos.shape != self.ref_pos.shape:
             return False
-        moved = np.linalg.norm(pos - self.ref_pos, axis=1)
-        return bool(np.max(moved, initial=0.0) < 0.5 * self.skin)
+        dx, dy, dz = (pos - self.ref_pos).T
+        # sqrt is monotone, so one root of the largest square decides
+        moved2 = np.max(dx * dx + dy * dy + dz * dz, initial=0.0)
+        return bool(np.sqrt(moved2) < 0.5 * self.skin)
 
     def rebuild(self, system: ParticleSystem) -> None:
         self.pairs = self._candidate_pairs(system.pos, system.d, self.skin)
@@ -259,20 +261,24 @@ def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet
     if bonds.size:
         cand = cand[~np.isin(cand[:, 0] * n + cand[:, 1], bonds[:, 0] * n + bonds[:, 1])]
     pairs = np.concatenate([cand, bonds])
-    r_ij = pos[pairs[:, 0]] - pos[pairs[:, 1]]
-    dist = np.sqrt((r_ij * r_ij).sum(axis=1))
-    if (dist < 1e-14 * d[pairs[:, 0]]).any():
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    # 1-D gathers of the columns, summed in the order of a row sum
+    x, y, z = pos.T
+    dx, dy, dz = x[ii] - x[jj], y[ii] - y[jj], z[ii] - z[jj]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    d_i = d[ii]
+    if (dist < 1e-14 * d_i).any():
         bad = int(np.argmin(dist))
         raise SingularGeometryError(
-            f"particles {pairs[bad, 0]} and {pairs[bad, 1]} have coincident centers")
-    keep = dist < d[pairs[:, 0]]
+            f"particles {ii[bad]} and {jj[bad]} have coincident centers")
+    keep = dist < d_i
     keep[cand.shape[0]:] = True                 # bonds act at any overlap
     if not (keep.any() or wi.size):             # nothing touches
         return ContactSet.empty(n, normals.shape[0])
-    pairs, r_ij, dist = pairs[keep], r_ij[keep], dist[keep]
-    ii, jj = pairs[:, 0], pairs[:, 1]
+    ii, jj, dist = ii[keep], jj[keep], dist[keep]
+    r_ij = pos[ii] - pos[jj]
 
-    n_pp = pairs.shape[0] - bonds.shape[0]
+    n_pp = ii.size - bonds.shape[0]
     return ContactSet(
         n, normals.shape[0],
         i=np.concatenate([ii, wi]),

@@ -119,24 +119,29 @@ def write_trajectory(frames: list[TrajectoryFrame], path) -> None:
 
 
 def read_trajectory(path) -> list[TrajectoryFrame]:
-    """Inverse of write_trajectory (exact for round-trip formatted floats)."""
-    rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != TRAJECTORY_HEADER:
-        raise ConfigError("unrecognized trajectory header")
+    """Inverse of write_trajectory (exact for round-trip formatted floats).
+
+    Reads line by line, so no more than one frame is held as text.
+    """
     frames: list[TrajectoryFrame] = []
     current_t = None
     pos, vel, omg = [], [], []
-    for line in rows[1:]:
-        parts = line.split(",")
-        t = float(parts[0])
-        vals = [float(x) for x in parts[2:]]
-        if current_t is None or t != current_t:
-            if current_t is not None:
-                frames.append(TrajectoryFrame(current_t, np.array(pos),
-                                              np.array(vel), np.array(omg)))
-            current_t = t
-            pos, vel, omg = [], [], []
-        pos.append(vals[0:3]); vel.append(vals[3:6]); omg.append(vals[6:9])
+    with Path(path).open() as fh:
+        if fh.readline().strip() != TRAJECTORY_HEADER:
+            raise ConfigError("unrecognized trajectory header")
+        for line in fh:
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            t = float(parts[0])
+            vals = [float(x) for x in parts[2:]]
+            if current_t is None or t != current_t:
+                if current_t is not None:
+                    frames.append(TrajectoryFrame(current_t, np.array(pos),
+                                                  np.array(vel), np.array(omg)))
+                current_t = t
+                pos, vel, omg = [], [], []
+            pos.append(vals[0:3]); vel.append(vals[3:6]); omg.append(vals[6:9])
     if current_t is not None:
         frames.append(TrajectoryFrame(current_t, np.array(pos),
                                       np.array(vel), np.array(omg)))

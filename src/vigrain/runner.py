@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import detect_contacts
 from .diagnostics import FrameStats, ensemble_stats
 from .model import GeneralizedState, ParticleSystem, pack_state, unpack_state
 from .scenarios import ScenarioSpec
@@ -67,7 +66,7 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     state = pack_state(system)
     result = RunResult()
     work = unpack_state(state, system)
-    contacts = detect_contacts(stepper.work, stepper.nlist)
+    contacts = stepper.contacts_at(state.q)
     result.frames.append(_sample_frame(work, state.t))
     result.diagnostics.append(DiagnosticsRow(
         ensemble_stats(work, contacts, params, t=state.t), 0, 0))
@@ -84,13 +83,11 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
 
         sample_traj = step % spec.trajectory_every == 0
         sample_diag = step % spec.diagnostics_every == 0
-        need_contacts = sample_diag or spec.max_collisions is not None
-        work = unpack_state(state, system) if (sample_traj or need_contacts) else None
-        contacts = None
-        if need_contacts:
-            if not stepper.nlist.is_valid(work.pos):
-                stepper.nlist.rebuild(work)
-            contacts = detect_contacts(work, stepper.nlist)
+        # from the stepper's cache: Verlet has just detected state.q, and
+        # the next VI step starts from the set detected here
+        contacts = (stepper.contacts_at(state.q)
+                    if sample_diag or spec.max_collisions is not None else None)
+        work = unpack_state(state, system) if (sample_traj or sample_diag) else None
         if sample_traj:
             result.frames.append(_sample_frame(work, state.t))
         if sample_diag:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forces as _forces
-from .contact import NeighborList, _detect_unchecked
+from .contact import ContactSet, NeighborList, _detect_unchecked
 from .errors import NonFiniteStateError
 from .forces import ContactParams
 from .linsolve import BLOCK
@@ -18,7 +18,14 @@ from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
 
 
 class VerletIntegrator:
-    """Work buffers and neighbor list for a velocity-Verlet run."""
+    """Work buffers and neighbor list for a velocity-Verlet run.
+
+    Keeps the contacts and -grad V of the last configuration it saw, so
+    the first kick of a step reuses the last kick's detection and
+    gradient; only the damping term is evaluated at both velocities.
+    That is velocity Verlet's one force evaluation per step (Swope,
+    Andersen, Berens & Wilson, J. Chem. Phys. 76, 637 (1982)).
+    """
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
                  h: float):
@@ -31,19 +38,27 @@ class VerletIntegrator:
         self.work = system.copy()
         self.nlist = NeighborList.build(system)
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
+        self._q = None           # the configuration of the cached set
+        self._contacts = None
+        self._neg_grad = None    # -grad V at _q, once evaluated
+
+    def contacts_at(self, q: np.ndarray) -> ContactSet:
+        """Contacts with the centres at q; an equal q reuses the last set."""
+        if self._q is None or not np.array_equal(q, self._q):
+            self.work.pos[:] = q.reshape(self.work.n, BLOCK)[:, :3]
+            if not self.nlist.is_valid(self.work.pos):
+                self.nlist.rebuild(self.work)
+            self._contacts = _detect_unchecked(self.work, self.nlist)
+            self._q = np.array(q, dtype=float)
+            self._neg_grad = None
+        return self._contacts
 
     def _force(self, q: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-        n = self.work.n
-        qb = q.reshape(n, BLOCK)
-        vb = velocity.reshape(n, BLOCK)
-        self.work.pos[:] = qb[:, :3]
-        self.work.theta[:] = qb[:, 3:]
-        self.work.vel[:] = vb[:, :3]
-        self.work.omega[:] = vb[:, 3:]
-        if not self.nlist.is_valid(self.work.pos):
-            self.nlist.rebuild(self.work)
-        contacts = _detect_unchecked(self.work, self.nlist)
-        f = -_forces.potential_gradient(self.work, contacts, self.params)
+        contacts = self.contacts_at(q)
+        if self._neg_grad is None:
+            self._neg_grad = -_forces.potential_gradient(self.work, contacts,
+                                                         self.params)
+        f = self._neg_grad
         if self._damped:
             f = f + _forces.nonconservative_force(self.work, contacts,
                                                   velocity, self.params)

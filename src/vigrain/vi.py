@@ -112,7 +112,12 @@ def _detect_at(work: ParticleSystem, nlist: NeighborList,
 
 
 class VIIntegrator:
-    """Owns the work buffers, mass matrix and neighbor list for a run."""
+    """Owns the work buffers, mass matrix and neighbor list for a run.
+
+    Keeps the contacts of the last configuration it detected, so a step
+    that starts where the caller last asked for contacts (contacts_at)
+    detects it once.
+    """
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
                  cfg: VIConfig):
@@ -126,17 +131,23 @@ class VIIntegrator:
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
         self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
+        self._q = None           # the configuration of the cached set
+        self._contacts = None
 
     # -- contact evaluation ------------------------------------------------
 
-    def _contacts_at(self, q: np.ndarray) -> ContactSet:
-        return _detect_at(self.work, self.nlist, q)
+    def contacts_at(self, q: np.ndarray) -> ContactSet:
+        """Contacts with the centres at q; an equal q reuses the last set."""
+        if self._q is None or not np.array_equal(q, self._q):
+            self._contacts = _detect_at(self.work, self.nlist, q)
+            self._q = np.array(q, dtype=float)
+        return self._contacts
 
     def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
         """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
         if not (self._damped or self.cfg.alpha == 0.0):
             return None, np.zeros_like(q_k)  # undamped midpoint rule never reads them
-        s_k = self._contacts_at(q_k)
+        s_k = self.contacts_at(q_k)
         q_plus = (_forces.nonconservative_force(self.work, s_k, vel_k, self.params)
                   if self._damped else np.zeros_like(q_k))
         return s_k, q_plus
@@ -150,7 +161,7 @@ class VIIntegrator:
         h, alpha = self.cfg.h, self.cfg.alpha
         v_d = (q_it - q_k) / h
         if s_mid is None:
-            s_mid = self._contacts_at((1.0 - alpha) * q_k + alpha * q_it)
+            s_mid = self.contacts_at((1.0 - alpha) * q_k + alpha * q_it)
         grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
         q_minus = _forces.nonconservative_force(self.work, s_mid, v_d, self.params) \
             if self._damped else np.zeros_like(q_k)
@@ -168,7 +179,7 @@ class VIIntegrator:
         p_next = self.mass.matvec(q_next - q_k) / cfg.h
         if cfg.alpha != 0.0:
             if s_mid is None:
-                s_mid = self._contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_next)
+                s_mid = self.contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_next)
             grad = _forces.potential_gradient(self.work, s_mid, self.params)
             p_next = p_next - cfg.h * cfg.alpha * grad
         return p_next
@@ -288,7 +299,7 @@ def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
     integ = VIIntegrator(system, params, cfg)
     q_k = np.asarray(q_k, dtype=float).ravel()
     q_it = np.asarray(q_k1_guess, dtype=float).ravel()
-    s_mid = integ._contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_it)
+    s_mid = integ.contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_it)
     return integ._neg_stiffness(s_mid).scaled(-1.0)
 
 

@@ -43,6 +43,19 @@ def fd_jacobian(f, x, eps):
     return jac
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a pass-through that logs each call; returns the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def stacked_velocity(system):
     """The 6N velocity vector (v, omega per particle) of a system."""
     v = np.zeros((system.n, 6))

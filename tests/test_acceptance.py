@@ -17,7 +17,6 @@ from vigrain import (ContactParams, ImpactParams, NeighborList,
                      potential_energy, potential_gradient, quasi_static_solve,
                      residual, total_energy, unpack_state,
                      velocity_fluctuation)
-from vigrain.contact import _detect_unchecked
 from vigrain.forces import STIFFNESS_RATIO, contact_time
 
 from conftest import fd_gradient, random_system, record_criterion
@@ -110,9 +109,7 @@ def _walls_energy_run(frac, verlet=False, n_collisions=250):
         else:
             state, _ = stepper.step(state)
         work = unpack_state(state, system)
-        if not stepper.nlist.is_valid(work.pos):
-            stepper.nlist.rebuild(work)
-        contacts = _detect_unchecked(work, stepper.nlist)
+        contacts = stepper.contacts_at(state.q)
         energies.append(total_energy(work, contacts, params))
         now = contacts.n_wall > 0
         if in_contact and not now:

@@ -81,11 +81,7 @@ class TestCSV:
         keys = [(float(t), int(i)) for t, i in cols]
         assert keys == sorted(keys)
 
-    def test_trajectory_round_trip_bit_exact(self, tmp_path):
-        frames = self.make_frames()
-        path = tmp_path / "traj.csv"
-        write_trajectory(frames, path)
-        back = read_trajectory(path)
+    def assert_same_frames(self, frames, back):
         assert len(back) == len(frames)
         for a, b in zip(frames, back):
             assert a.t == b.t
@@ -93,10 +89,33 @@ class TestCSV:
             npt.assert_array_equal(a.vel, b.vel)
             npt.assert_array_equal(a.omega, b.omega)
 
+    def test_trajectory_round_trip_bit_exact(self, tmp_path):
+        frames = self.make_frames()
+        path = tmp_path / "traj.csv"
+        write_trajectory(frames, path)
+        self.assert_same_frames(frames, read_trajectory(path))
+
+    def test_trailing_blank_line_round_trips(self, tmp_path):
+        frames = self.make_frames()
+        path = tmp_path / "traj.csv"
+        write_trajectory(frames, path)
+        with path.open("a") as fh:
+            fh.write("\n")
+        self.assert_same_frames(frames, read_trajectory(path))
+
     def test_empty_run_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory([], path)
         assert path.read_text().strip() == "t,id,x,y,z,vx,vy,vz,wx,wy,wz"
+        assert read_trajectory(path) == []
+
+    @pytest.mark.parametrize("text", ["", "t,id,x,y,z\n0.0,0,1.0,2.0,3.0\n"],
+                             ids=["empty file", "wrong header"])
+    def test_unreadable_header(self, tmp_path, text):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="trajectory header"):
+            read_trajectory(path)
 
     def test_diagnostics_header(self, tmp_path):
         cfg = parse_config('{"scenario": "impact", "duration": 0.01}')

@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, NonFiniteStateError, ParticleSystem,
-                     VIConfig, VIIntegrator, VerletIntegrator, build_impact,
-                     build_walls, detect_contacts, pack_state, total_energy,
-                     unpack_state, verlet_step)
+from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
+                     ParticleSystem, VIConfig, VIIntegrator, VerletIntegrator,
+                     build_impact, build_walls, detect_contacts, forces,
+                     pack_state, total_energy, unpack_state, verlet, verlet_step)
 from vigrain.contact import NeighborList
 from vigrain.forces import contact_time
+
+from conftest import count_calls
 
 K_N = 195000.0
 T_C = contact_time(K_N)
@@ -51,6 +53,47 @@ def test_non_finite_rotation_fails_at_once():
     state.p[3] = np.nan
     with pytest.raises(NonFiniteStateError, match="particle 0 a non-finite q"):
         VerletIntegrator(system, params, T_C / 40).step(state)
+
+
+def touching_pair():
+    """The damped impact pair, placed overlapping by d/100 while closing."""
+    system, _ = build_impact(0.0, 30.0, 1.0)
+    system.pos[:, 0] = [0.495, -0.495]
+    return system, ContactParams.from_damping_ratio(30.0, 1.0)
+
+
+def test_steady_state_step_detects_once(monkeypatch):
+    system, params = touching_pair()
+    integ = VerletIntegrator(system, params, T_C / 40)
+    state = integ.step(pack_state(system))
+    detect = count_calls(monkeypatch, verlet, "_detect_unchecked")
+    gradient = count_calls(monkeypatch, forces, "potential_gradient")
+    damping = count_calls(monkeypatch, forces, "nonconservative_force")
+    state = integ.step(state)
+    # the first kick reuses the last kick's contacts and gradient; only
+    # the damping is evaluated at both velocities
+    assert (len(detect), len(gradient), len(damping)) == (1, 1, 2)
+    # the runner's sample at the end of the step is a cache hit
+    assert len(integ.contacts_at(state.q)) == 1 and len(detect) == 1
+
+
+@pytest.mark.parametrize("change", ["in place", "one ulp"])
+def test_changed_q_is_detected_again(monkeypatch, change):
+    system, params = touching_pair()
+    integ = VerletIntegrator(system, params, T_C / 40)
+    state = integ.step(pack_state(system))   # contacts at state.q are cached
+    if change == "in place":
+        state.q[0] -= 1e-3
+    else:
+        q = state.q.copy()
+        q[0] = np.nextafter(q[0], np.inf)
+        state = GeneralizedState(q=q, p=state.p, t=state.t, k=state.k)
+    detect = count_calls(monkeypatch, verlet, "_detect_unchecked")
+    got = integ.step(state)
+    assert len(detect) == 2
+    want = VerletIntegrator(system, params, T_C / 40).step(state)
+    npt.assert_array_equal(got.q, want.q)
+    npt.assert_array_equal(got.p, want.p)
 
 
 def test_undamped_energy_bounded_many_steps():

@@ -4,18 +4,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, NonFiniteStateError, ParticleSystem,
-                     StepFailureError, VIConfig, VIIntegrator, Wall,
-                     assemble_mass_matrix, build_box, build_impact,
-                     discrete_lagrangian, implicit_position_solve, linsolve,
-                     momentum_update, pack_state, quasi_static_solve, residual,
-                     stiffness, unpack_state, vi, vi_step)
+from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
+                     ParticleSystem, StepFailureError, VIConfig, VIIntegrator,
+                     Wall, assemble_mass_matrix, build_box, build_impact,
+                     contact, discrete_lagrangian, implicit_position_solve,
+                     linsolve, momentum_update, pack_state, quasi_static_solve,
+                     residual, run_simulation, stiffness, unpack_state, vi,
+                     vi_step)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
 from vigrain.forces import contact_time, nonconservative_force
 from vigrain.contact import detect_contacts_brute_force
 
-from conftest import fd_gradient, random_system
+from conftest import count_calls, fd_gradient, random_system
 
 K_N = 195000.0
 T_C = contact_time(K_N)
@@ -293,6 +294,37 @@ class TestNewtonAcceptance:
         q2, report = implicit_position_solve(state.q, state.p, cfg, system, params)
         assert report.newton_iters == 2
         assert np.max(np.abs(q2 - q1)) < vi.NEWTON_TOL * np.min(system.d)
+
+
+class TestContactCache:
+    def test_damped_alpha0_run_detects_once_per_step(self, monkeypatch):
+        system, spec = build_box(n_particles=18, box_size=3)
+        system.pos[:, 2] -= 0.0045   # pressed together, as in pressed_box
+        spec.alpha, spec.duration, spec.diagnostics_every = 0.0, 20 * spec.h, 1
+        detect = count_calls(monkeypatch, contact, "_detect_unchecked")
+        result = run_simulation(system, spec)
+        assert result.steps == 20
+        # each step starts from the set the runner sampled after the last one
+        assert len(detect) == result.steps + 1
+
+    @pytest.mark.parametrize("change", ["in place", "one ulp"])
+    def test_changed_q_is_detected_again(self, monkeypatch, change):
+        system, params, cfg = pressed_box()
+        integ = VIIntegrator(system, params, cfg)
+        state, _ = integ.step(pack_state(system))
+        assert len(integ.contacts_at(state.q)) > 0   # cached, as by the runner
+        if change == "in place":
+            state.q[2] -= 1e-3
+        else:
+            q = state.q.copy()
+            q[2] = np.nextafter(q[2], -np.inf)
+            state = GeneralizedState(q=q, p=state.p, t=state.t, k=state.k)
+        detect = count_calls(monkeypatch, contact, "_detect_unchecked")
+        got, _ = integ.step(state)
+        assert len(detect) == 1
+        want, _ = VIIntegrator(system, params, cfg).step(state)
+        npt.assert_array_equal(got.q, want.q)
+        npt.assert_array_equal(got.p, want.p)
 
 
 class TestSolverPath:
