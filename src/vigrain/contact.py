@@ -176,6 +176,7 @@ class ContactSet:
         self.delta, self.normal, self.arm = delta, normal, arm
         self.m_eff, self.k = m_eff, k
         self.n_pp = n_pp
+        self._scatter = {}
 
     @classmethod
     def empty(cls, n_bodies: int, n_ghosts: int) -> "ContactSet":
@@ -206,19 +207,35 @@ class ContactSet:
         """Spring constant of every row, with k_n on the Hookean rows."""
         return np.where(self.k > 0.0, self.k, k_n)
 
+    def padded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The translational and the rotational part of a 6N vector, each
+        one contiguous row per body and then one zero row per ghost."""
+        v = np.zeros((self.n_bodies + self.n_ghosts, BLOCK))
+        v[:self.n_bodies] = np.reshape(x, (self.n_bodies, BLOCK))
+        return np.ascontiguousarray(v[:, :3]), np.ascontiguousarray(v[:, 3:])
+
+    def scatter_index(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of columns col..col+2 of the i and j ends' 6-DOF
+        blocks, ghosts included, for every row; built once per col."""
+        if col not in self._scatter:
+            cols = col + np.arange(3)
+            self._scatter[col] = tuple((BLOCK * ends[:, None] + cols).ravel()
+                                       for ends in (self.i, self.j))
+        return self._scatter[col]
+
     def split_velocity(self, velocity: np.ndarray):
         """Relative velocity of every row at a 6N velocity vector.
 
         Returns (v_rel, v_n, v_t) with v_rel = v_n + v_t
         + (1/2)(omega_i + omega_j) x arm; a ghost partner is at rest.
         """
-        v = np.zeros((self.n_bodies + self.n_ghosts, BLOCK))
-        v[:self.n_bodies] = np.reshape(velocity, (self.n_bodies, BLOCK))
-        vel, omg = v[:, :3], v[:, 3:]
-        v_rel = vel[self.i] - vel[self.j]
+        vel, omg = self.padded(velocity)
+        i, j = self.i, self.j
+        v_rel = vel.take(i, axis=0) - vel.take(j, axis=0)
         vn_mag = np.einsum("cd,cd->c", v_rel, self.normal)
         v_n = vn_mag[:, None] * self.normal
-        v_t = v_rel - v_n - 0.5 * cross_rows(omg[self.i] + omg[self.j], self.arm)
+        omg_sum = omg.take(i, axis=0) + omg.take(j, axis=0)
+        v_t = v_rel - v_n - 0.5 * cross_rows(omg_sum, self.arm)
         return v_rel, v_n, v_t
 
 

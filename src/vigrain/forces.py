@@ -1,4 +1,4 @@
-"""Potential energy, its gradient, and the damping force with its Jacobian.
+"""Potential energy, its gradient and Hessian, the damping force and its Jacobian.
 
 Contact force law (frictionless): normal spring plus normal/tangential
 dashpots,
@@ -16,10 +16,20 @@ Each function runs once over all rows of a ContactSet: Hookean pairs,
 bonds (k = the bond's own stiffness) and walls alike. A wall row's
 j-side contributions land on its ghost body and are dropped, so a wall
 acts on the particle side only.
+
+The two linear operators, dQ/dv and the potential Hessian, are applied
+from the rows and never assembled (matrix-free Newton-Krylov; Knoll &
+Keyes, J. Comput. Phys. 193, 357 (2004)). Q is linear in the velocity,
+so dQ/dv x = Q(x) and the damping force and its Jacobian share one row
+kernel. On a frozen contact set the Hessian is a fixed linear map,
+k (n n^T - (delta / |r_ij|)(I - n n^T)) per row. Both return a
+linsolve.BlockSparseMatrix that also holds their scalar diagonal, the
+Jacobi preconditioner; each contact set builds its scatter indices once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,20 +75,18 @@ def contact_time(k_n: float, mass: float = 1.0) -> float:
     return np.pi * np.sqrt(mass / (2.0 * k_n))
 
 
-def _per_body(contacts: ContactSet, vals_i: np.ndarray,
-              vals_j: np.ndarray) -> np.ndarray:
-    """Sum per-row contributions onto both ends, via bincount.
-
-    Ghost rows collect the j side of wall rows and are dropped.
+def _per_body(contacts: ContactSet, vals: np.ndarray, col: int,
+              opposite: bool) -> np.ndarray:
+    """Sum (m, 3) per-row values onto columns col..col+2 of both ends,
+    via bincount: added on the i end, and on the j end subtracted when
+    opposite, else added. Returns a 6N vector; the ghost rows, which
+    collect the j side of wall rows, are dropped.
     """
-    out = np.zeros((contacts.n_bodies + contacts.n_ghosts,) + vals_i.shape[1:])
-    flat = out.reshape(out.shape[0], -1)
-    width = flat.shape[1]
-    for rows, vals in ((contacts.i, vals_i), (contacts.j, vals_j)):
-        idx = (width * rows[:, None] + np.arange(width)).ravel()
-        flat += np.bincount(idx, weights=vals.ravel(),
-                            minlength=flat.size).reshape(flat.shape)
-    return out[:contacts.n_bodies]
+    size = BLOCK * (contacts.n_bodies + contacts.n_ghosts)
+    idx_i, idx_j = contacts.scatter_index(col)
+    on_i = np.bincount(idx_i, weights=vals.ravel(), minlength=size)
+    on_j = np.bincount(idx_j, weights=vals.ravel(), minlength=size)
+    return (on_i - on_j if opposite else on_i + on_j)[:BLOCK * contacts.n_bodies]
 
 
 def potential_energy(system: ParticleSystem, contacts: ContactSet,
@@ -94,14 +102,35 @@ def potential_energy(system: ParticleSystem, contacts: ContactSet,
 def potential_gradient(system: ParticleSystem, contacts: ContactSet,
                        params: ContactParams) -> np.ndarray:
     """Exact gradient of the potential with respect to q (rotations zero)."""
-    grad = np.zeros((system.n, BLOCK))
     if len(contacts):
         k = contacts.stiffness(params.k_n)
         g = (-k * contacts.delta)[:, None] * contacts.normal
-        grad[:, :3] = _per_body(contacts, g, -g)
+        grad = _per_body(contacts, g, 0, opposite=True)
+    else:
+        grad = np.zeros(BLOCK * system.n)
     if system.gravity != 0.0:
-        grad[:, 2] += system.m * system.gravity
-    return grad.ravel()
+        grad[2::BLOCK] += system.m * system.gravity
+    return grad
+
+
+def _dashpots(contacts: ContactSet, params: ContactParams):
+    """Every row's normal and tangential dashpot coefficient, -gamma m_eff."""
+    return -params.gamma_n * contacts.m_eff, -params.gamma_t * contacts.m_eff
+
+
+def _damping(contacts: ContactSet, c_n: np.ndarray, c_t: np.ndarray,
+             velocity: np.ndarray) -> np.ndarray:
+    """The rows' dashpot forces at a 6N velocity, summed per body.
+
+    Q is linear in the velocity, so this one kernel is both the damping
+    force and the action of its velocity Jacobian.
+    """
+    _, v_n, v_t = contacts.split_velocity(velocity)
+    f_t = c_t[:, None] * v_t
+    f = c_n[:, None] * v_n + f_t
+    tau = -0.5 * cross_rows(contacts.arm, f_t)
+    return (_per_body(contacts, f, 0, opposite=True)
+            + _per_body(contacts, tau, 3, opposite=False))
 
 
 def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
@@ -114,84 +143,61 @@ def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
     """
     if not len(contacts):
         return np.zeros(BLOCK * system.n)
-    _, v_n, v_t = contacts.split_velocity(np.asarray(velocity, dtype=float))
-    f_t = -params.gamma_t * contacts.m_eff[:, None] * v_t
-    f = -params.gamma_n * contacts.m_eff[:, None] * v_n + f_t
-    tau = -0.5 * cross_rows(contacts.arm, f_t)
-    return _per_body(contacts, np.hstack([f, tau]), np.hstack([-f, tau])).ravel()
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric cross-product matrices, (m, 3) -> (m, 3, 3)."""
-    m = v.shape[0]
-    s = np.zeros((m, 3, 3))
-    s[:, 0, 1] = -v[:, 2]; s[:, 0, 2] = v[:, 1]
-    s[:, 1, 0] = v[:, 2];  s[:, 1, 2] = -v[:, 0]
-    s[:, 2, 0] = -v[:, 1]; s[:, 2, 1] = v[:, 0]
-    return s
-
-
-def _block_operator(contacts: ContactSet, d_ii: np.ndarray, d_jj: np.ndarray,
-                    d_ij: np.ndarray) -> BlockSparseMatrix:
-    """Assemble per-row 6x6 blocks; wall rows have no off-diagonal block."""
-    n = contacts.n_bodies
-    rows = np.flatnonzero(~contacts.wall)
-    keys = contacts.i[rows] * n + contacts.j[rows]
-    order = np.argsort(keys)
-    keys = keys[order]
-    return BlockSparseMatrix(n, _per_body(contacts, d_ii, d_jj),
-                             keys // n, keys % n, d_ij[rows[order]])
+    return _damping(contacts, *_dashpots(contacts, params),
+                    np.asarray(velocity, dtype=float))
 
 
 def dQ_dv(system: ParticleSystem, contacts: ContactSet,
           params: ContactParams) -> BlockSparseMatrix:
     """Jacobian of the damping force with respect to the 6N velocity vector.
 
-    Symmetric negative semidefinite by construction.
+    Q is linear in the velocity, so dQ/dv x = Q(x) exactly, and the
+    operator applies the damping rows at x. Symmetric negative
+    semidefinite. Each row puts the same diagonal on both ends:
+    -(gamma_t + (gamma_n - gamma_t) n_a^2) m_eff on the translations and
+    (gamma_t m_eff / 4)(arm_a^2 - |arm|^2) on the rotations.
     """
-    m = len(contacts)
-    eye = np.eye(3)
     gamma_n, gamma_t = params.gamma_n, params.gamma_t
     m_eff, arm = contacts.m_eff, contacts.arm
-    nn = np.einsum("ca,cb->cab", contacts.normal, contacts.normal)
-    b = ((gamma_n - gamma_t) * m_eff)[:, None, None] * nn \
-        + (gamma_t * m_eff)[:, None, None] * eye
-    c = 0.5 * (gamma_t * m_eff)[:, None, None] * _skew(arm)
-    # S(a) S(a) = a a^T - |a|^2 I for skew matrices
-    aa = np.einsum("ca,cb->cab", arm, arm)
     a2 = np.einsum("ca,ca->c", arm, arm)
-    t_w = 0.25 * (gamma_t * m_eff)[:, None, None] * (aa - a2[:, None, None] * eye)
-    d_ii = np.zeros((m, BLOCK, BLOCK))
-    d_ii[:, :3, :3] = -b
-    d_ii[:, :3, 3:] = -c
-    d_ii[:, 3:, :3] = c
-    d_ii[:, 3:, 3:] = t_w
-    d_jj = np.zeros((m, BLOCK, BLOCK))
-    d_jj[:, :3, :3] = -b
-    d_jj[:, :3, 3:] = c
-    d_jj[:, 3:, :3] = -c
-    d_jj[:, 3:, 3:] = t_w
-    d_ij = np.zeros((m, BLOCK, BLOCK))
-    d_ij[:, :3, :3] = b
-    d_ij[:, :3, 3:] = -c
-    d_ij[:, 3:, :3] = -c
-    d_ij[:, 3:, 3:] = t_w
-    return _block_operator(contacts, d_ii, d_jj, d_ij)
+    d_trans = -(((gamma_n - gamma_t) * m_eff)[:, None] * contacts.normal ** 2
+                + (gamma_t * m_eff)[:, None])
+    d_rot = (0.25 * (gamma_t * m_eff))[:, None] * (arm * arm - a2[:, None])
+    diag = (_per_body(contacts, d_trans, 0, opposite=False)
+            + _per_body(contacts, d_rot, 3, opposite=False))
+    return BlockSparseMatrix(
+        contacts.n_bodies, 0.0,
+        partial(_damping, contacts, *_dashpots(contacts, params)),
+        diag, contacts.i[~contacts.wall])
+
+
+def _spring(contacts: ContactSet, c_nn: np.ndarray, c_eye: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """(c_nn n n^T - c_eye I)(x_i - x_j) of every row, summed per body."""
+    u, _ = contacts.padded(x)
+    du = u.take(contacts.i, axis=0) - u.take(contacts.j, axis=0)
+    normal = contacts.normal
+    w = ((c_nn * np.einsum("cd,cd->c", du, normal))[:, None] * normal
+         - c_eye[:, None] * du)
+    return _per_body(contacts, w, 0, opposite=True)
 
 
 def potential_hessian(system: ParticleSystem, contacts: ContactSet,
                       params: ContactParams) -> BlockSparseMatrix:
-    """Second derivative of the potential with respect to q.
+    """Second derivative of the potential with respect to q, row-wise.
 
-    Rotational rows are zero; gravity contributes nothing. The spring's
-    transverse term -k (delta / |r_ij|) (I - n n^T) is absent on wall
-    rows, because a plane's normal does not turn. Used by the
+    Row c applies k (n n^T - (delta / |r_ij|)(I - n n^T)) to x_i - x_j
+    and adds it to body i, subtracts it from body j. Rotational rows are
+    zero; gravity contributes nothing. The transverse term is absent on
+    wall rows, because a plane's normal does not turn. Used by the
     quasi-static solver.
     """
     k = contacts.stiffness(params.k_n)
-    nn = np.einsum("ca,cb->cab", contacts.normal, contacts.normal)
     dist = np.linalg.norm(contacts.arm, axis=1)
     lateral = np.where(contacts.wall, 0.0, contacts.delta / dist)
-    h = np.zeros((len(contacts), BLOCK, BLOCK))
-    h[:, :3, :3] = k[:, None, None] * (nn - lateral[:, None, None] * (np.eye(3) - nn))
-    return _block_operator(contacts, h, h, -h)
+    c_nn, c_eye = k * (1.0 + lateral), k * lateral
+    d = c_nn[:, None] * contacts.normal ** 2 - c_eye[:, None]
+    return BlockSparseMatrix(contacts.n_bodies, 0.0,
+                             partial(_spring, contacts, c_nn, c_eye),
+                             _per_body(contacts, d, 0, opposite=False),
+                             contacts.i[~contacts.wall])

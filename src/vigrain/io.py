@@ -84,7 +84,10 @@ def parse_config(text: str) -> RunConfig:
     if "scenario" not in doc:
         raise ConfigError("config is missing the required key 'scenario'")
     values = {k: _coerce(k, v) for k, v in doc.items()}
-    _, spec = build_named(values.pop("scenario"), values)
+    try:
+        _, spec = build_named(values.pop("scenario"), values)
+    except ValueError as exc:  # a builder's own range check
+        raise ConfigError(str(exc)) from exc
     for key, value in values.items():
         setattr(spec, key, value)
     return RunConfig(spec=spec)

@@ -1,11 +1,14 @@
-"""Symmetric 6x6-block sparse operator and a conjugate-gradient solver.
+"""Row-wise symmetric operator and a conjugate-gradient solver.
 
-The stiffness of a contact configuration couples at most pairs of
-bodies, so the operator is stored as per-body diagonal blocks plus one
-6x6 block per interacting (i, j) pair with i < j; the (j, i) block is
-the transpose.
+The operators CG sees are diag(shift) + scale A, where A is the
+action of a set of contact rows: each row couples at most two bodies,
+so A x is a gather from both ends, a per-row kernel and a scatter
+back, and nothing is assembled. The operator's 6N scalar diagonal is
+kept beside the action, because it is the Jacobi preconditioner.
 """
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -16,54 +19,43 @@ BLOCK = 6
 
 
 class BlockSparseMatrix:
-    """Symmetric block-sparse matrix over n bodies with 6 DOF each."""
+    """Symmetric operator diag(shift) + scale A over n bodies with 6 DOF each.
 
-    def __init__(self, n_bodies: int, diag: np.ndarray | None = None,
-                 pair_i: np.ndarray | None = None,
-                 pair_j: np.ndarray | None = None,
-                 pair_blocks: np.ndarray | None = None):
+    rows(x) applies A and rows_diag is A's diagonal; without rows the
+    operator is diagonal. pair_i holds the i end of every particle-
+    particle or bond row of A (wall rows excluded), for work accounting.
+    """
+
+    def __init__(self, n_bodies: int, shift, rows=None, rows_diag=0.0,
+                 pair_i: np.ndarray | None = None):
         self.n_bodies = int(n_bodies)
-        self.diag = (np.zeros((n_bodies, BLOCK, BLOCK)) if diag is None
-                     else np.asarray(diag, dtype=float))
-        if self.diag.shape != (n_bodies, BLOCK, BLOCK):
-            raise ValueError("diagonal block array has wrong shape")
-        if pair_i is None:
-            pair_i = np.empty(0, dtype=np.int64)
-            pair_j = np.empty(0, dtype=np.int64)
-            pair_blocks = np.empty((0, BLOCK, BLOCK))
-        self.pair_i = np.asarray(pair_i, dtype=np.int64)
-        self.pair_j = np.asarray(pair_j, dtype=np.int64)
-        self.pair_blocks = np.asarray(pair_blocks, dtype=float)
-        if np.any(self.pair_i >= self.pair_j):
-            raise ValueError("pair blocks must be stored with i < j")
-        self._scatter = None
+        self.shift = shift
+        self.scale = 1.0
+        self.rows = rows
+        self.diag = np.zeros(self.dim) + (shift + rows_diag)
+        self.pair_i = np.empty(0, dtype=np.int64) if pair_i is None else pair_i
         self._inv_diag = None
 
     @property
     def dim(self) -> int:
         return BLOCK * self.n_bodies
 
-    def _scatter_indices(self):
-        # flat row indices for bincount accumulation of the pair products
-        if self._scatter is None:
-            rows = np.arange(BLOCK)
-            flat_i = (BLOCK * self.pair_i[:, None] + rows).ravel()
-            flat_j = (BLOCK * self.pair_j[:, None] + rows).ravel()
-            self._scatter = np.concatenate([flat_i, flat_j])
-        return self._scatter
+    def affine(self, c: float, shift=0.0) -> "BlockSparseMatrix":
+        """c * self + diag(shift), sharing the row action."""
+        op = copy.copy(self)
+        op.shift = c * self.shift + shift
+        op.scale = c * self.scale
+        op.diag = c * self.diag + shift
+        op._inv_diag = None
+        return op
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise ValueError(f"operand has length {x.size}, operator dim {self.dim}")
-        xb = x.reshape(self.n_bodies, BLOCK)
-        y = np.einsum("nab,nb->na", self.diag, xb).ravel()
-        if self.pair_i.size:
-            into_i = np.einsum("mab,mb->ma", self.pair_blocks, xb[self.pair_j])
-            into_j = np.einsum("mab,ma->mb", self.pair_blocks, xb[self.pair_i])
-            contrib = np.concatenate([into_i.ravel(), into_j.ravel()])
-            y += np.bincount(self._scatter_indices(), weights=contrib,
-                             minlength=y.size)
+        y = self.shift * x
+        if self.rows is not None:
+            y += self.scale * self.rows(x)
         return y
 
     def inverse_diagonal(self) -> np.ndarray:
@@ -72,35 +64,10 @@ class BlockSparseMatrix:
         Raises IndefiniteOperatorError when a diagonal entry is not positive.
         """
         if self._inv_diag is None:
-            diag = np.einsum("naa->na", self.diag).ravel()
-            if np.any(diag <= 0.0):
+            if np.any(self.diag <= 0.0):
                 raise IndefiniteOperatorError("operator diagonal is not positive")
-            self._inv_diag = 1.0 / diag
+            self._inv_diag = 1.0 / self.diag
         return self._inv_diag
-
-    def scaled(self, c: float) -> "BlockSparseMatrix":
-        return BlockSparseMatrix(self.n_bodies, c * self.diag,
-                                 self.pair_i, self.pair_j, c * self.pair_blocks)
-
-    def add_scalar_diagonal(self, c: float) -> "BlockSparseMatrix":
-        diag = self.diag.copy()
-        idx = np.arange(BLOCK)
-        diag[:, idx, idx] += c
-        return BlockSparseMatrix(self.n_bodies, diag,
-                                 self.pair_i, self.pair_j, self.pair_blocks)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        for b in range(self.n_bodies):
-            s = slice(BLOCK * b, BLOCK * (b + 1))
-            a[s, s] = self.diag[b]
-        for m in range(self.pair_i.size):
-            i, j = int(self.pair_i[m]), int(self.pair_j[m])
-            si = slice(BLOCK * i, BLOCK * (i + 1))
-            sj = slice(BLOCK * j, BLOCK * (j + 1))
-            a[si, sj] += self.pair_blocks[m]
-            a[sj, si] += self.pair_blocks[m].T
-        return a
 
 
 def cg_solve(a, b: np.ndarray, tol: float = 1e-10,

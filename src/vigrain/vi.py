@@ -16,12 +16,15 @@ The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
 because acceptance is residual-based. -K = M/h - (1/2) dQ/dv is SPD
 with a positive diagonal (-dQ/dv is positive semidefinite), so CG
-always runs Jacobi-preconditioned.
+always runs Jacobi-preconditioned. -K is never assembled: Q is linear
+in the velocity, so each CG product is -K x = M x / h - (1/2) Q(q_{k+a}, x)
+evaluated from the contact rows, and only the scalar diagonal of -K,
+the preconditioner, is computed beside it.
 
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
 NEWTON_TOL d_min: either the last correction was that small, or the
-residual was evaluated on the contact set -K was assembled from and
+residual was evaluated on the contact set -K was built from and
 |r|_2 h / min(diag M) is below the tolerance. On a fixed contact set
 (alpha = 0, or any pass after N_FREEZE) the residual is affine in
 q_{k+1} and K is its exact Jacobian, so the next correction is
@@ -130,6 +133,7 @@ class VIIntegrator:
         self.d_min = float(np.min(system.d))
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
         self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
+        self._m_over_h = (1.0 / cfg.h) * self.mass.diag
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
         self._q = None           # the configuration of the cached set
         self._contacts = None
@@ -196,7 +200,7 @@ class VIIntegrator:
         s_mid = s_k
         frozen = (alpha == 0.0)
         a_cached = None  # -K is constant while the geometry is frozen
-        k_set = None     # the contact set -K was assembled from
+        k_set = None     # the contact set -K was built from
         last_dq = np.inf
         cg_total = 0
         corrections = 0
@@ -243,15 +247,12 @@ class VIIntegrator:
                 frozen = True
 
     def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
-        """Assemble -K = M/h - (1/2) dQ/dv, the SPD operator handed to CG."""
+        """-K = M/h - (1/2) dQ/dv, the SPD operator handed to CG: M/h on
+        the diagonal, -1/2 times the damping rows."""
         if self._damped and len(s_mid):
-            op = _forces.dQ_dv(self.work, s_mid, self.params).scaled(-0.5)
-        else:
-            op = BlockSparseMatrix(self.system.n)
-        # op is freshly built, so M/h goes into its diagonal in place
-        idx = np.arange(BLOCK)
-        op.diag[:, idx, idx] += (1.0 / self.cfg.h) * self.mass.diag.reshape(-1, BLOCK)
-        return op
+            return _forces.dQ_dv(self.work, s_mid, self.params).affine(
+                -0.5, self._m_over_h)
+        return BlockSparseMatrix(self.system.n, self._m_over_h)
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
         q_next, s_mid, report = self.solve_position(state.q, state.p)
@@ -300,7 +301,7 @@ def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
     q_k = np.asarray(q_k, dtype=float).ravel()
     q_it = np.asarray(q_k1_guess, dtype=float).ravel()
     s_mid = integ.contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_it)
-    return integ._neg_stiffness(s_mid).scaled(-1.0)
+    return integ._neg_stiffness(s_mid).affine(-1.0)
 
 
 def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,
@@ -353,7 +354,7 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
         lam = 0.0
         for _ in range(8):
             try:
-                op = hess if lam == 0.0 else hess.add_scalar_diagonal(lam)
+                op = hess.affine(1.0, lam)
                 dq, _ = cg_solve(op, -grad, tol=CG_TOL, max_iter=CG_MAX_ITER)
                 break
             except (IndefiniteOperatorError, SolverFailureError):

@@ -43,6 +43,11 @@ def fd_jacobian(f, x, eps):
     return jac
 
 
+def dense(op):
+    """The dense matrix of a linear operator, one matvec per unit vector."""
+    return np.column_stack([op.matvec(e) for e in np.eye(op.dim)])
+
+
 def count_calls(monkeypatch, owner, name):
     """Replace owner.name with a pass-through that logs each call; returns the log."""
     calls = []

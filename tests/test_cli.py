@@ -36,6 +36,20 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "fricton" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"scenario": "box", "box_size": 6.5}, "integer number of diameters"),
+    ({"scenario": "box", "box_size": 2, "n_particles": 1000}, "cannot place 1000"),
+])
+def test_scenario_builder_rejection_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_run_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "impact", "duration": 0.02}))

@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (Bond, ContactParams, ParticleSystem, Wall,
-                     detect_contacts_brute_force, dQ_dv,
-                     nonconservative_force, potential_energy,
+from vigrain import (Bond, ContactParams, ParticleSystem, VIConfig,
+                     VIIntegrator, Wall, detect_contacts_brute_force, dQ_dv,
+                     nonconservative_force, pack_state, potential_energy,
                      potential_gradient, potential_hessian)
 from vigrain.forces import contact_time
 
-from conftest import fd_gradient, random_system, stacked_velocity
+from conftest import dense, fd_gradient, random_system, stacked_velocity
 
 UNDAMPED = ContactParams(k_n=195000.0)
 
@@ -184,10 +184,10 @@ class TestWallLeverArm:
 
     def test_damping_jacobian_matches_heavy_partner(self):
         on_wall, on_pair = self.systems()
-        d_wall = dQ_dv(on_wall, detect_contacts_brute_force(on_wall),
-                       self.params).to_dense()
-        d_pair = dQ_dv(on_pair, detect_contacts_brute_force(on_pair),
-                       self.params).to_dense()
+        d_wall = dense(dQ_dv(on_wall, detect_contacts_brute_force(on_wall),
+                             self.params))
+        d_pair = dense(dQ_dv(on_pair, detect_contacts_brute_force(on_pair),
+                             self.params))
         npt.assert_allclose(d_wall, d_pair[:6, :6], rtol=1e-2, atol=1e-12)
 
 
@@ -196,22 +196,22 @@ class TestDQDV:
         s = ParticleSystem([[0, 0, 0], [5, 0, 0]])
         contacts = detect_contacts_brute_force(s)
         op = dQ_dv(s, contacts, damped_params)
-        assert np.all(op.to_dense() == 0.0)
+        assert np.all(dense(op) == 0.0)
 
     def test_normal_only_projector_block(self):
         params = ContactParams(k_n=1.0, gamma_n=12.0, gamma_t=0.0)
         s = ParticleSystem([[0.45, 0, 0], [-0.45, 0, 0]])
         contacts = detect_contacts_brute_force(s)
-        dense = dQ_dv(s, contacts, params).to_dense()
+        jac = dense(dQ_dv(s, contacts, params))
         proj = np.zeros((3, 3)); proj[0, 0] = 1.0
-        npt.assert_allclose(dense[:3, :3], -params.gamma_n * 0.5 * proj, atol=1e-14)
-        npt.assert_allclose(dense[:3, 6:9], +params.gamma_n * 0.5 * proj, atol=1e-14)
+        npt.assert_allclose(jac[:3, :3], -params.gamma_n * 0.5 * proj, atol=1e-14)
+        npt.assert_allclose(jac[:3, 6:9], +params.gamma_n * 0.5 * proj, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed, damped_params):
         s = random_system(seed + 40, walls=(seed % 2 == 0), bonds=True)
         contacts = detect_contacts_brute_force(s)
-        dense = dQ_dv(s, contacts, damped_params).to_dense()
+        jac = dense(dQ_dv(s, contacts, damped_params))
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=6 * s.n)
         eps = 1e-6
@@ -220,7 +220,7 @@ class TestDQDV:
             q_hi = nonconservative_force(s, contacts, v0 + eps * e, damped_params)
             q_lo = nonconservative_force(s, contacts, v0 - eps * e, damped_params)
             oracle = (q_hi - q_lo) / (2 * eps)
-            got = dense @ e
+            got = jac @ e
             scale = max(1.0, np.max(np.abs(oracle)))
             npt.assert_allclose(got, oracle, atol=1e-6 * scale)
 
@@ -228,9 +228,9 @@ class TestDQDV:
     def test_symmetric_negative_semidefinite(self, seed, damped_params):
         s = random_system(seed + 70, walls=True, bonds=True)
         contacts = detect_contacts_brute_force(s)
-        dense = dQ_dv(s, contacts, damped_params).to_dense()
-        npt.assert_allclose(dense, dense.T, atol=1e-13 * (1 + np.abs(dense).max()))
-        eigs = np.linalg.eigvalsh(dense)
+        jac = dense(dQ_dv(s, contacts, damped_params))
+        npt.assert_allclose(jac, jac.T, atol=1e-13 * (1 + np.abs(jac).max()))
+        eigs = np.linalg.eigvalsh(jac)
         assert np.max(eigs) < 1e-10 * max(1.0, -eigs.min())
 
 
@@ -240,7 +240,7 @@ class TestPotentialHessian:
         s = random_system(seed + 300, walls=(seed % 2 == 0), bonds=(seed % 2 == 1),
                           gravity=1.0)
         params = UNDAMPED
-        dense = potential_hessian(s, detect_contacts_brute_force(s), params).to_dense()
+        hess = dense(potential_hessian(s, detect_contacts_brute_force(s), params))
 
         def grad_of(flat):
             work = s.copy()
@@ -258,7 +258,36 @@ class TestPotentialHessian:
             body, coord = divmod(col, 3)
             full[:, 6 * body + coord] = (grad_of(hi) - grad_of(lo)) / (2 * eps)
         scale = max(1.0, np.abs(full).max())
-        npt.assert_allclose(dense, full, atol=2e-4 * scale)
+        npt.assert_allclose(hess, full, atol=2e-4 * scale)
+
+
+class TestRowOperators:
+    """The operators are applied from the contact rows, and their scalar
+    diagonal, the Jacobi preconditioner, is computed apart from that."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_matches_action(self, seed, damped_params):
+        s = random_system(seed + 90, walls=True, bonds=True)
+        contacts = detect_contacts_brute_force(s)
+        for op in (dQ_dv(s, contacts, damped_params),
+                   potential_hessian(s, contacts, damped_params)):
+            full = dense(op)
+            npt.assert_allclose(op.diag, np.diag(full),
+                                rtol=1e-14, atol=1e-14 * np.abs(full).max())
+        integ = VIIntegrator(s, damped_params,
+                             VIConfig(h=contact_time(UNDAMPED.k_n) / 40, alpha=0.0))
+        neg_k = integ._neg_stiffness(integ.contacts_at(pack_state(s).q))
+        npt.assert_allclose(neg_k.inverse_diagonal(), 1.0 / np.diag(dense(neg_k)),
+                            rtol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_damping_jacobian_action_is_damping_force(self, seed, damped_params):
+        s = random_system(seed + 90, walls=True, bonds=True)
+        contacts = detect_contacts_brute_force(s)
+        x = np.random.default_rng(seed).normal(size=6 * s.n)
+        force = nonconservative_force(s, contacts, x, damped_params)
+        npt.assert_allclose(dQ_dv(s, contacts, damped_params).matvec(x), force,
+                            rtol=0, atol=1e-15 * np.abs(force).max())
 
 
 def test_contact_time_value():

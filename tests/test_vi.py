@@ -16,7 +16,7 @@ from vigrain.analytic import (ImpactParams, contact_phase_velocity,
 from vigrain.forces import contact_time, nonconservative_force
 from vigrain.contact import detect_contacts_brute_force
 
-from conftest import count_calls, fd_gradient, random_system
+from conftest import count_calls, dense, fd_gradient, random_system
 
 K_N = 195000.0
 T_C = contact_time(K_N)
@@ -115,16 +115,16 @@ class TestStiffness:
         q = pack_state(s).q
         k_op = stiffness(q, q, cfg, s, UNDAMPED)
         mass = assemble_mass_matrix(s)
-        npt.assert_allclose(k_op.to_dense(), -np.diag(mass.diag) / cfg.h)
+        npt.assert_allclose(dense(k_op), -np.diag(mass.diag) / cfg.h)
 
     def test_normal_damped_offdiag_block(self):
         params = ContactParams(k_n=K_N, gamma_n=15.0, gamma_t=0.0)
         s = ParticleSystem([[0.45, 0, 0], [-0.45, 0, 0]])
         cfg = VIConfig(h=0.01, alpha=0.0)
         q = pack_state(s).q
-        dense = stiffness(q, q, cfg, s, params).to_dense()
+        k_dense = dense(stiffness(q, q, cfg, s, params))
         proj = np.zeros((3, 3)); proj[0, 0] = 1.0
-        npt.assert_allclose(dense[:3, 6:9], 0.5 * 15.0 * 0.5 * proj, atol=1e-12)
+        npt.assert_allclose(k_dense[:3, 6:9], 0.5 * 15.0 * 0.5 * proj, atol=1e-12)
 
     def test_symmetric(self, damped_params):
         s = random_system(17, n=4, walls=True, bonds=True)
@@ -132,8 +132,9 @@ class TestStiffness:
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
         guess = state.q + cfg.h * mass.solve(state.p)
-        dense = stiffness(state.q, guess, cfg, s, damped_params).to_dense()
-        npt.assert_allclose(dense, dense.T, atol=1e-12 * (1 + np.abs(dense).max()))
+        k_dense = dense(stiffness(state.q, guess, cfg, s, damped_params))
+        npt.assert_allclose(k_dense, k_dense.T,
+                            atol=1e-12 * (1 + np.abs(k_dense).max()))
 
 
 class TestImplicitSolve:
@@ -263,7 +264,7 @@ def forced_correction(q_k, p_k, q_next, cfg, system, params):
     """The Newton correction a further solve would make at an accepted
     iterate, and the bound |r|_2 h / min(diag M) the stepper uses."""
     r = residual(q_k, q_next, p_k, cfg, system, params)
-    neg_k = stiffness(q_k, q_next, cfg, system, params).scaled(-1.0)
+    neg_k = stiffness(q_k, q_next, cfg, system, params).affine(-1.0)
     dq, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, jacobi=True)
     bound = np.linalg.norm(r) * cfg.h / assemble_mass_matrix(system).diag.min()
     return float(np.max(np.abs(dq))), bound
