@@ -98,15 +98,21 @@ class NeighborList:
         off, a = np.nonzero(cells[slot] == target)
         b = slot[off, a]
 
-        # expand each cell pair into its count[a] * count[b] particle pairs
+        # expand each cell pair into its count[a] * count[b] particle pairs;
+        # each expanded array is about 1 MB at N = 4000, so none outlives
+        # its use
         size = count[a] * count[b]
-        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        row, col = np.divmod(local, np.repeat(count[b], size))
+        row, col = np.divmod(np.arange(size.sum())
+                             - np.repeat(np.cumsum(size) - size, size),
+                             np.repeat(count[b], size))
         si = np.repeat(start[a], size) + row
+        del row
         sj = np.repeat(start[b], size) + col
+        del col
         keep = (si < sj) | np.repeat(off > 0, size)   # a pair within a cell once
+        si, sj = si[keep], sj[keep]
         # a cheap cut that keeps every pair within the edge, then the exact test
-        keep &= sum((c[si] - c[sj]) ** 2 for c in pos[order].T.copy()) < edge * edge
+        keep = sum((c[si] - c[sj]) ** 2 for c in pos[order].T.copy()) < edge * edge
         i, j = order[si[keep]], order[sj[keep]]
         i, j = np.minimum(i, j), np.maximum(i, j)
         near = np.linalg.norm(pos[i] - pos[j], axis=1) < 0.5 * (d[i] + d[j]) + skin

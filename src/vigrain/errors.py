@@ -2,7 +2,14 @@
 
 
 class VigrainError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    run_simulation sets step and t on an error raised by a step: the
+    1-based index of that step and the time it started from.
+    """
+
+    step: int | None = None
+    t: float | None = None
 
 
 class SingularGeometryError(VigrainError):

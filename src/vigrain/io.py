@@ -102,23 +102,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_ROWS_PER_WRITE = 256
 TRAJECTORY_HEADER = "t,id,x,y,z,vx,vy,vz,wx,wy,wz"
 DIAGNOSTICS_HEADER = ("t,KT,KR,V_contact,V_grav,E_total,px,py,pz,"
                       "Kbar,dv,newton_iters,cg_iters")
 
 
 def write_trajectory(frames: list[TrajectoryFrame], path) -> None:
-    """CSV with one row per particle per sampled frame, ordered by (t, id)."""
+    """CSV with one row per particle per sampled frame, ordered by (t, id).
+
+    Rows are formatted a chunk at a time, so no frame is held as text.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
         for frame in frames:
-            for pid in range(frame.pos.shape[0]):
-                row = [_fmt(frame.t), str(pid)]
-                row += [_fmt(v) for v in frame.pos[pid]]
-                row += [_fmt(v) for v in frame.vel[pid]]
-                row += [_fmt(v) for v in frame.omega[pid]]
-                fh.write(",".join(row) + "\n")
+            t = _fmt(frame.t)
+            for start in range(0, frame.pos.shape[0], _ROWS_PER_WRITE):
+                chunk = slice(start, start + _ROWS_PER_WRITE)
+                rows = np.hstack((frame.pos[chunk], frame.vel[chunk],
+                                  frame.omega[chunk]), dtype=float).tolist()
+                fh.writelines(f"{t},{pid},{','.join(map(repr, row))}\n"
+                              for pid, row in enumerate(rows, start))
 
 
 def read_trajectory(path) -> list[TrajectoryFrame]:

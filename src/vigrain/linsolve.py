@@ -72,7 +72,8 @@ class BlockSparseMatrix:
 
 def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None,
-             jacobi: bool = False, callback=None) -> tuple[np.ndarray, int]:
+             jacobi: bool = False, callback=None
+             ) -> tuple[np.ndarray, int, np.ndarray]:
     """Conjugate gradients for a symmetric positive definite operator.
 
     Parameters
@@ -84,9 +85,11 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
     jacobi : precondition with the operator diagonal
     callback : optional, called with the current iterate after each update
 
-    Returns (x, iterations). Raises NonFiniteStateError when b or a
-    curvature p^T A p is not finite, IndefiniteOperatorError on detected
-    negative curvature and SolverFailureError on non-convergence.
+    Returns (x, iterations, r), where r = b - A x is CG's own recurrence
+    residual, so a caller solving an affine equation need not apply A
+    again. Raises NonFiniteStateError when b or a curvature p^T A p is
+    not finite, IndefiniteOperatorError on detected negative curvature
+    and SolverFailureError on non-convergence.
     """
     b = np.asarray(b, dtype=float).ravel()
     if b.size != a.dim:
@@ -98,7 +101,7 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
         raise NonFiniteStateError("CG right-hand side is not finite",
                                   residual=float(bnorm), iterations=0)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0
+        return np.zeros_like(b), 0, np.zeros_like(b)
     inv_diag = a.inverse_diagonal() if jacobi else None
     x = np.zeros_like(b)
     r = b.copy()
@@ -122,7 +125,7 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
         if callback is not None:
             callback(x.copy())
         if np.linalg.norm(r) <= tol * bnorm:
-            return x, it
+            return x, it, r
         z = r * inv_diag if inv_diag is not None else r
         rz_new = r @ z
         p = z + (rz_new / rz) * p

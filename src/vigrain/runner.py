@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import FrameStats, ensemble_stats
+from .errors import VigrainError
 from .model import GeneralizedState, ParticleSystem, pack_state, unpack_state
 from .scenarios import ScenarioSpec
 from .vi import VIConfig, VIIntegrator
@@ -48,7 +49,9 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     Samples the trajectory and diagnostics at the cadences in the spec.
     A collision, for the wall experiments, is a maximal interval with
     any wall overlap delta > 0; the run stops once max_collisions of
-    them have completed.
+    them have completed. A VigrainError raised by a step leaves with
+    the step's 1-based index and start time as its step and t, and
+    both in its message.
     """
     params = spec.contact_params()
     h = spec.h
@@ -73,12 +76,17 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
 
     in_contact = False
     for step in range(1, n_steps + 1):
-        if use_vi:
-            state, report = stepper.step(state)
-            newton, cg = report.newton_iters, report.cg_iters
-        else:
-            state = stepper.step(state)
-            newton, cg = 0, 0
+        try:
+            if use_vi:
+                state, report = stepper.step(state)
+                newton, cg = report.newton_iters, report.cg_iters
+            else:
+                state = stepper.step(state)
+                newton, cg = 0, 0
+        except VigrainError as exc:
+            exc.step, exc.t = step, state.t
+            exc.args = (f"{exc} (step {step}, t = {state.t!r})", *exc.args[1:])
+            raise
         result.steps = step
 
         sample_traj = step % spec.trajectory_every == 0

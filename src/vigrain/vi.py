@@ -1,16 +1,20 @@
 """Implicit variational time stepper and the quasi-static solver.
 
-One step solves the nonlinear update equation
+One step solves the nonlinear update equation for the displacement
+D = q_{k+1} - q_k,
 
-    R(q_k, q_{k+1}) = p_k - (1/h) M [q_{k+1} - q_k]
-                      - h (1-a) grad V(q_{k+a})
-                      + (h/2) Q(q_{k+a}, [q_{k+1} - q_k]/h)
-                      + (h/2) Q(q_k, M^-1 p_k)          = 0
+    r(D) = p_k - (1/h) M D
+           - h (1-a) grad V(q_k + a D)
+           + (h/2) Q(q_k + a D, D/h)
+           + (h/2) Q(q_k, M^-1 p_k)          = 0
 
-by Newton iteration with a conjugate-gradient inner solve, where
-q_{k+a} = (1-a) q_k + a q_{k+1} and a is 0 (first order) or 1/2
-(second order). The accepted position feeds the explicit momentum
-update p_{k+1} = (1/h) M [q_{k+1} - q_k] - h a grad V(q_{k+a}).
+by Newton iteration from D_0 = h M^-1 p_k with a conjugate-gradient
+inner solve, where a is 0 (first order) or 1/2 (second order). The
+iterate is D, not q_{k+1}, so M D / h does not cancel however far the
+system sits from the origin: q_k + a D is formed only to detect the
+midpoint contacts, and q_{k+1} = q_k + D once, for the accepted D.
+p_{k+1} = (1/h) M [q_{k+1} - q_k] - h a grad V(q_k + a D) reuses the last
+residual's gradient; the stored positions' difference is exact.
 
 The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
@@ -21,20 +25,25 @@ in the velocity, so each CG product is -K x = M x / h - (1/2) Q(q_{k+a}, x)
 evaluated from the contact rows, and only the scalar diagonal of -K,
 the preconditioner, is computed beside it.
 
+On a fixed contact set (alpha = 0, or any pass after N_FREEZE) r is
+affine in D and K is its exact Jacobian, so the residual after a
+correction dD is r - (-K) dD: the residual CG hands back. No force is
+evaluated again. At alpha = 0 the first residual also reuses Q(q_k,
+v_k), because D_0 / h = v_k, so a step makes one detection, one
+gradient, one damping force, one dQ/dv and one CG solve.
+
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
 NEWTON_TOL d_min: either the last correction was that small, or the
 residual was evaluated on the contact set -K was built from and
 |r|_2 h / min(diag M) is below the tolerance. On a fixed contact set
-(alpha = 0, or any pass after N_FREEZE) the residual is affine in
-q_{k+1} and K is its exact Jacobian, so the next correction is
-(-K)^-1 r; -K >= M/h bounds its size by |r|_2 h / min(diag M)
-without a further solve. On passes that re-detect contacts (alpha =
-1/2 before N_FREEZE) -K leaves out the potential Hessian and the bound
-does not hold, so they rely on the size of the last correction.
-(Stopping on a bound for the next step is the usual inexact-Newton
-test; Kelley, Iterative Methods for Linear and Nonlinear Equations,
-SIAM 1995.)
+the next correction is (-K)^-1 r, and -K >= M/h bounds its size by
+|r|_2 h / min(diag M) without a further solve. On passes that
+re-detect contacts (alpha = 1/2 before N_FREEZE) -K leaves out the
+potential Hessian and the bound does not hold, so they rely on the
+size of the last correction. (Stopping on a bound for the next step is
+the usual inexact-Newton test; Kelley, Iterative Methods for Linear
+and Nonlinear Equations, SIAM 1995.)
 
 Dropping the inertial term and the momentum turns the same machinery
 into an energy minimizer, which is what quasi_static_solve does; its
@@ -156,54 +165,39 @@ class VIIntegrator:
                   if self._damped else np.zeros_like(q_k))
         return s_k, q_plus
 
-    def _residual(self, q_k, q_it, p_k, q_plus, s_mid: ContactSet | None = None):
-        """Step residual at the trial q_it, with its midpoint terms.
-
-        Detects contacts at the midpoint unless frozen ones are passed.
-        Returns (r, s_mid, grad V(q_mid), Q(q_mid, v_d), M (q_it - q_k)).
-        """
+    def _residual(self, p_k, delta, q_plus, s_mid: ContactSet, q_minus=None):
+        """Step residual at the displacement delta on the midpoint set s_mid,
+        with q_minus = Q(s_mid, delta / h) when the caller already has it.
+        Returns (r, grad V(q_mid), Q(s_mid, delta / h), M delta)."""
         h, alpha = self.cfg.h, self.cfg.alpha
-        v_d = (q_it - q_k) / h
-        if s_mid is None:
-            s_mid = self.contacts_at((1.0 - alpha) * q_k + alpha * q_it)
         grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
-        q_minus = _forces.nonconservative_force(self.work, s_mid, v_d, self.params) \
-            if self._damped else np.zeros_like(q_k)
-        m_dq = self.mass.matvec(q_it - q_k)
-        r = (p_k - m_dq / h
+        if q_minus is None:
+            q_minus = (_forces.nonconservative_force(self.work, s_mid, delta / h,
+                                                     self.params)
+                       if self._damped else np.zeros_like(delta))
+        m_delta = self.mass.matvec(delta)
+        r = (p_k - m_delta / h
              - h * (1.0 - alpha) * grad_mid
              + 0.5 * h * q_minus + 0.5 * h * q_plus)
-        return r, s_mid, grad_mid, q_minus, m_dq
-
-    def _momentum(self, q_k: np.ndarray, q_next: np.ndarray,
-                  s_mid: ContactSet | None = None) -> np.ndarray:
-        """p_{k+1} = (1/h) M dq - h a grad V(q_{k+a}); s_mid is detected
-        at the midpoint unless the caller has it."""
-        cfg = self.cfg
-        p_next = self.mass.matvec(q_next - q_k) / cfg.h
-        if cfg.alpha != 0.0:
-            if s_mid is None:
-                s_mid = self.contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_next)
-            grad = _forces.potential_gradient(self.work, s_mid, self.params)
-            p_next = p_next - cfg.h * cfg.alpha * grad
-        return p_next
+        return r, grad_mid, q_minus, m_delta
 
     # -- one implicit step ---------------------------------------------------
 
     def solve_position(self, q_k: np.ndarray, p_k: np.ndarray):
-        """Newton loop for q_{k+1}; returns (q, final midpoint contacts, report)."""
+        """Newton loop on the displacement; returns (q_{k+1}, p_{k+1}, report)."""
         h, alpha = self.cfg.h, self.cfg.alpha
         vel_k = self.mass.solve(p_k)
         s_k, q_plus = self._explicit_damping(q_k, vel_k)
 
-        q_it = q_k + h * vel_k
-        s_mid = s_k
+        delta = h * vel_k
         frozen = (alpha == 0.0)
-        a_cached = None  # -K is constant while the geometry is frozen
+        s_mid = s_k if frozen else self.contacts_at(q_k + alpha * delta)
+        # at alpha = 0, Q(s_k, delta_0 / h) is Q(s_k, v_k) = q_plus
+        r, grad_mid, q_minus, m_delta = self._residual(
+            p_k, delta, q_plus, s_mid, q_plus if frozen else None)
         k_set = None     # the contact set -K was built from
         last_dq = np.inf
-        cg_total = 0
-        corrections = 0
+        cg_total = corrections = 0
         newton_tol = NEWTON_TOL * self.d_min
         # force scales that do not change over the Newton passes
         fixed_scale = max(float(np.max(np.abs(q_plus), initial=0.0)),
@@ -212,12 +206,10 @@ class VIIntegrator:
                           1e-300)
 
         while True:
-            r, s_mid, grad_mid, q_minus, m_dq = self._residual(
-                q_k, q_it, p_k, q_plus, s_mid if frozen else None)
             r_norm = float(np.max(np.abs(r), initial=0.0))
             fscale = max(float(np.max(np.abs(grad_mid), initial=0.0)),
                          float(np.max(np.abs(q_minus), initial=0.0)),
-                         float(np.max(np.abs(m_dq), initial=0.0)) / h ** 2,
+                         float(np.max(np.abs(m_delta), initial=0.0)) / h ** 2,
                          fixed_scale)
             tol_r = RESIDUAL_SCALE_TOL * h * fscale
             if r_norm <= tol_r and (
@@ -225,26 +217,31 @@ class VIIntegrator:
                     or (s_mid is k_set and float(np.linalg.norm(r))
                         * self._inv_k_bound < newton_tol)):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
-                return q_it, s_mid, report
+                q_next = q_k + delta
+                p_next = self.mass.matvec(q_next - q_k) / h - h * alpha * grad_mid
+                return q_next, p_next, report
             if corrections >= NEWTON_MAX:
                 raise StepFailureError(
                     f"Newton did not converge in {NEWTON_MAX} iterations",
                     residual=r_norm, iterations=corrections)
-            if frozen and a_cached is not None:
-                a_op = a_cached
-            else:
+            if s_mid is not k_set:
                 a_op = self._neg_stiffness(s_mid)
                 k_set = s_mid
-                if frozen:
-                    a_cached = a_op
-            dq, it = cg_solve(a_op, r, tol=CG_TOL, max_iter=CG_MAX_ITER,
-                              jacobi=True)
-            q_it = q_it + dq
-            last_dq = float(np.max(np.abs(dq), initial=0.0))
+            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL,
+                                          max_iter=CG_MAX_ITER, jacobi=True)
+            delta = delta + d_delta
+            last_dq = float(np.max(np.abs(d_delta), initial=0.0))
             cg_total += it
             corrections += 1
-            if corrections >= N_FREEZE:
-                frozen = True
+            frozen = frozen or corrections >= N_FREEZE
+            if frozen:
+                # affine residual: Q(s_mid, delta / h) is not formed, and
+                # leaving it out of fscale only tightens the test
+                r, q_minus, m_delta = r_lin, 0.0, self.mass.matvec(delta)
+            else:
+                s_mid = self.contacts_at(q_k + alpha * delta)
+                r, grad_mid, q_minus, m_delta = self._residual(
+                    p_k, delta, q_plus, s_mid)
 
     def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
         """-K = M/h - (1/2) dQ/dv, the SPD operator handed to CG: M/h on
@@ -255,10 +252,7 @@ class VIIntegrator:
         return BlockSparseMatrix(self.system.n, self._m_over_h)
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
-        q_next, s_mid, report = self.solve_position(state.q, state.p)
-        # s_mid was detected at the accepted iterate's midpoint in the
-        # last Newton evaluation, so it is current here
-        p_next = self._momentum(state.q, q_next, s_mid)
+        q_next, p_next, report = self.solve_position(state.q, state.p)
         new_state = GeneralizedState(q=q_next, p=p_next,
                                      t=state.t + self.cfg.h, k=state.k + 1)
         return new_state, report
@@ -283,24 +277,28 @@ def discrete_lagrangian(q_k: np.ndarray, q_k1: np.ndarray, cfg: VIConfig,
     return kinetic - cfg.h * _forces.potential_energy(work, contacts, params)
 
 
+def _at_midpoint(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
+                 params: ContactParams):
+    """(integrator, q_k, q_k1 - q_k, contacts at q_k + alpha (q_k1 - q_k))."""
+    integ = VIIntegrator(system, params, cfg)
+    q_k = np.asarray(q_k, dtype=float).ravel()
+    delta = np.asarray(q_k1, dtype=float).ravel() - q_k
+    return integ, q_k, delta, integ.contacts_at(q_k + cfg.alpha * delta)
+
+
 def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
              params: ContactParams) -> np.ndarray:
     """The nonlinear step equation evaluated at a trial q_{k+1}."""
-    integ = VIIntegrator(system, params, cfg)
-    q_k = np.asarray(q_k, dtype=float).ravel()
     p_k = np.asarray(p_k, dtype=float).ravel()
+    integ, q_k, delta, s_mid = _at_midpoint(q_k, q_k1_guess, cfg, system, params)
     _, q_plus = integ._explicit_damping(q_k, integ.mass.solve(p_k))
-    return integ._residual(q_k, np.asarray(q_k1_guess, dtype=float).ravel(),
-                           p_k, q_plus)[0]
+    return integ._residual(p_k, delta, q_plus, s_mid)[0]
 
 
 def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
               params: ContactParams) -> BlockSparseMatrix:
     """Linearization K of the residual in q_{k+1} (negative definite)."""
-    integ = VIIntegrator(system, params, cfg)
-    q_k = np.asarray(q_k, dtype=float).ravel()
-    q_it = np.asarray(q_k1_guess, dtype=float).ravel()
-    s_mid = integ.contacts_at((1.0 - cfg.alpha) * q_k + cfg.alpha * q_it)
+    integ, _, _, s_mid = _at_midpoint(q_k, q_k1_guess, cfg, system, params)
     return integ._neg_stiffness(s_mid).affine(-1.0)
 
 
@@ -316,8 +314,9 @@ def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,
 def momentum_update(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
                     params: ContactParams) -> np.ndarray:
     """Explicit momentum update for an accepted position step."""
-    return VIIntegrator(system, params, cfg)._momentum(
-        np.asarray(q_k, dtype=float).ravel(), np.asarray(q_k1, dtype=float).ravel())
+    integ, _, delta, s_mid = _at_midpoint(q_k, q_k1, cfg, system, params)
+    grad = _forces.potential_gradient(integ.work, s_mid, params)
+    return integ.mass.matvec(delta) / cfg.h - cfg.h * cfg.alpha * grad
 
 
 def vi_step(state: GeneralizedState, cfg: VIConfig, system: ParticleSystem,
@@ -355,7 +354,7 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
         for _ in range(8):
             try:
                 op = hess.affine(1.0, lam)
-                dq, _ = cg_solve(op, -grad, tol=CG_TOL, max_iter=CG_MAX_ITER)
+                dq, _, _ = cg_solve(op, -grad, tol=CG_TOL, max_iter=CG_MAX_ITER)
                 break
             except (IndefiniteOperatorError, SolverFailureError):
                 lam = max(10.0 * lam, 1e-8 * params.k_n)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vigrain import vi
 from vigrain.cli import cli_main
 
 
@@ -78,3 +79,15 @@ def test_convergence_prints_slopes(capsys):
     slopes = [float(m) for m in re.findall(r"fitted slope ([-\d.]+)", out)]
     assert len(slopes) == 2
     assert abs(slopes[0] - 1.0) <= 0.25 and abs(slopes[1] - 2.0) <= 0.25
+
+
+def test_run_step_failure_names_step_and_time(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(vi, "NEWTON_MAX", 0)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"scenario": "box", "n_particles": 18,
+                                "box_size": 3, "duration": 0.01}))
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: Newton did not converge")
+    assert err.endswith("(step 1, t = 0.0)")

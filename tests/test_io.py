@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from vigrain import ConfigError, parse_config, render_config, run_simulation
-from vigrain.io import read_trajectory, write_diagnostics, write_trajectory
+from vigrain.io import (TRAJECTORY_HEADER, read_trajectory, write_diagnostics,
+                        write_trajectory)
 from vigrain.runner import TrajectoryFrame
 from vigrain.scenarios import SCENARIO_BUILDERS, build_scenario
 
@@ -94,6 +95,33 @@ class TestCSV:
         path = tmp_path / "traj.csv"
         write_trajectory(frames, path)
         self.assert_same_frames(frames, read_trajectory(path))
+
+    def test_trajectory_bytes_match_per_value_repr(self, tmp_path):
+        # the per-value format: repr(float(v)) for t and every value
+        rng = np.random.default_rng(1)
+        n = 600  # more rows than one chunked write
+        frames = []
+        for t in (0.0, 1e-7, 1e16):
+            vals = rng.normal(size=(n, 9)) * 10.0 ** rng.integers(-8, 17, (n, 9))
+            vals.flat[:9] = [-0.0, 5e-324, 1e16, 1e-7, 3.0, -2.0, 0.0, 1e22, 0.1]
+            vals.flat[300 * 9 + 4] = -0.0   # past the first chunk
+            vals[-1] = np.round(vals[-1])   # integral floats
+            frames.append(TrajectoryFrame(t, vals[:, :3], vals[:, 3:6], vals[:, 6:]))
+        path = tmp_path / "traj.csv"
+        write_trajectory(frames, path)
+        lines = [TRAJECTORY_HEADER]
+        for f in frames:
+            for pid in range(f.pos.shape[0]):
+                row = [*f.pos[pid], *f.vel[pid], *f.omega[pid]]
+                lines.append(",".join([repr(float(f.t)), str(pid)]
+                                      + [repr(float(v)) for v in row]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = read_trajectory(path)
+        assert len(back) == len(frames)
+        for a, b in zip(frames, back):
+            assert a.t == b.t
+            for x, y in ((a.pos, b.pos), (a.vel, b.vel), (a.omega, b.omega)):
+                assert x.tobytes() == y.tobytes()   # -0.0 keeps its sign
 
     def test_trailing_blank_line_round_trips(self, tmp_path):
         frames = self.make_frames()

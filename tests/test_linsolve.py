@@ -64,13 +64,14 @@ class TestBlockSparseMatrix:
 class TestCG:
     def test_diagonal_solve(self):
         b = np.array([2.0, 4.0, 0, 0, 0, 0])
-        x, iters = cg_solve(BlockSparseMatrix(1, 2.0), b)
+        x, iters, _ = cg_solve(BlockSparseMatrix(1, 2.0), b)
         npt.assert_allclose(x, b / 2.0)
         assert iters >= 1
 
     def test_zero_rhs_zero_iterations(self):
-        x, iters = cg_solve(BlockSparseMatrix(1, 3.0), np.zeros(6))
+        x, iters, r = cg_solve(BlockSparseMatrix(1, 3.0), np.zeros(6))
         npt.assert_array_equal(x, 0.0)
+        npt.assert_array_equal(r, 0.0)
         assert iters == 0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -78,14 +79,18 @@ class TestCG:
         rng = np.random.default_rng(seed)
         a = random_spd_dense(rng, 30)
         b = rng.normal(size=30)
-        x, _ = cg_solve(DenseOperator(a), b, tol=1e-12)
+        x, _, r = cg_solve(DenseOperator(a), b, tol=1e-12)
         x_star = np.linalg.solve(a, b)
         assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) < 1e-8
+        # the recurrence residual is the true residual up to roundoff
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+        npt.assert_allclose(r, b - a @ x, rtol=0,
+                            atol=1e-12 * np.abs(a).max() * np.abs(x).sum())
 
     def test_k_distinct_eigenvalues_k_iterations(self):
         a = BlockSparseMatrix(2, np.array([1, 1, 2, 2, 3, 3, 1, 2, 3, 1, 2, 3.0]))
         rng = np.random.default_rng(0)
-        _, iters = cg_solve(a, rng.normal(size=12), tol=1e-9)
+        _, iters, _ = cg_solve(a, rng.normal(size=12), tol=1e-9)
         assert iters <= 3
 
     def test_energy_norm_monotone_decrease(self):
@@ -144,5 +149,5 @@ class TestCG:
         rng = np.random.default_rng(4)
         a = row_operator(random_spd_dense(rng, 18))
         b = rng.normal(size=18)
-        x, _ = cg_solve(a, b, tol=1e-12, jacobi=True)
+        x, _, _ = cg_solve(a, b, tol=1e-12, jacobi=True)
         npt.assert_allclose(a.matvec(x), b, atol=1e-10 * np.linalg.norm(b))

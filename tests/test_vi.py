@@ -13,7 +13,8 @@ from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
                      vi_step)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
-from vigrain.forces import contact_time, nonconservative_force
+from vigrain import forces
+from vigrain.forces import STIFFNESS_RATIO, contact_time, nonconservative_force
 from vigrain.contact import detect_contacts_brute_force
 
 from conftest import count_calls, dense, fd_gradient, random_system
@@ -260,12 +261,14 @@ def pressed_box():
     return system, spec.contact_params(), VIConfig(h=spec.h, alpha=0.0)
 
 
-def forced_correction(q_k, p_k, q_next, cfg, system, params):
+def forced_correction(q_k, p_k, q_next, cfg, system, params, r=None):
     """The Newton correction a further solve would make at an accepted
-    iterate, and the bound |r|_2 h / min(diag M) the stepper uses."""
-    r = residual(q_k, q_next, p_k, cfg, system, params)
+    iterate, and the bound |r|_2 h / min(diag M) the stepper uses; r
+    defaults to a fresh evaluation of the residual there."""
+    if r is None:
+        r = residual(q_k, q_next, p_k, cfg, system, params)
     neg_k = stiffness(q_k, q_next, cfg, system, params).affine(-1.0)
-    dq, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, jacobi=True)
+    dq, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, jacobi=True)
     bound = np.linalg.norm(r) * cfg.h / assemble_mass_matrix(system).diag.min()
     return float(np.max(np.abs(dq))), bound
 
@@ -287,14 +290,52 @@ class TestNewtonAcceptance:
     def test_second_correction_when_the_bound_fails(self, monkeypatch):
         system, params, cfg = pressed_box()
         state = pack_state(system)
+        solves = spy_cg(monkeypatch)
         q1, report = implicit_position_solve(state.q, state.p, cfg, system, params)
         assert report.newton_iters == 1
-        dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params)
+        # the stepper tests the residual CG handed back with the correction
+        dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params,
+                                      r=solves[-1][2])
+        assert dq < bound
         # a tolerance the bound misses but the next correction meets
         monkeypatch.setattr(vi, "NEWTON_TOL", np.sqrt(dq * bound))
-        q2, report = implicit_position_solve(state.q, state.p, cfg, system, params)
-        assert report.newton_iters == 2
-        assert np.max(np.abs(q2 - q1)) < vi.NEWTON_TOL * np.min(system.d)
+        solves.clear()
+        _, report = implicit_position_solve(state.q, state.p, cfg, system, params)
+        assert report.newton_iters == len(solves) == 2
+        assert np.max(np.abs(solves[-1][0])) < vi.NEWTON_TOL * np.min(system.d)
+
+    def test_redetecting_pass_accepts_on_the_last_correction(self, monkeypatch):
+        # alpha = 1/2 re-detects contacts at every midpoint, where -K is
+        # not the Jacobian, so the residual bound must not end the loop:
+        # a pass that accepts after a correction made that one small
+        system, _ = build_impact(0.0, 30.0, 1.0)
+        params = ContactParams.from_damping_ratio(30.0, 1.0)
+        cfg = VIConfig(h=T_C / 10, alpha=0.5)
+        integ = VIIntegrator(system, params, cfg)
+        state = pack_state(system)
+        state.q[0] -= 0.49; state.q[6] += 0.49  # 20 steps before contact
+        solves = spy_cg(monkeypatch)
+        newton_tol = vi.NEWTON_TOL * float(np.min(system.d))
+        redetecting = 0
+        for _ in range(40):
+            solves.clear()
+            state, report = integ.step(state)
+            if 0 < report.newton_iters < vi.N_FREEZE:
+                redetecting += 1
+                assert np.max(np.abs(solves[-1][0])) < newton_tol
+        assert redetecting > 0
+
+
+def spy_cg(monkeypatch):
+    """Log what every cg_solve the stepper makes returns: (x, iterations, r)."""
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(linsolve.cg_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(vi, "cg_solve", spy)
+    return solves
 
 
 class TestContactCache:
@@ -326,6 +367,92 @@ class TestContactCache:
         want, _ = VIIntegrator(system, params, cfg).step(state)
         npt.assert_array_equal(got.q, want.q)
         npt.assert_array_equal(got.p, want.p)
+
+
+class TestStepWork:
+    def test_steady_alpha0_step_evaluates_each_force_once(self, monkeypatch):
+        system, params, cfg = pressed_box()
+        integ = VIIntegrator(system, params, cfg)
+        state, _ = integ.step(pack_state(system))
+        calls = {name: count_calls(monkeypatch, forces, name)
+                 for name in ("potential_gradient", "nonconservative_force", "dQ_dv")}
+        matvecs = count_calls(monkeypatch, linsolve.BlockSparseMatrix, "matvec")
+        solves = spy_cg(monkeypatch)
+        prev = state
+        state, report = integ.step(prev)
+        assert report.newton_iters == 1 and report.n_contacts > 0
+        assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
+        assert len(solves) == 1
+        assert len(matvecs) == solves[0][1] == report.cg_iters
+        # the residual CG handed back is the step residual at the accepted
+        # iterate; a fresh evaluation differs by its own roundoff, mostly
+        # from forming q_{k+1} - q_k and M (q_{k+1} - q_k) / h
+        fresh = residual(prev.q, state.q, prev.p, cfg, system, params)
+        mass = assemble_mass_matrix(system).diag
+        roundoff = 16 * np.finfo(float).eps * (
+            np.max(mass * np.abs(state.q)) / cfg.h + np.max(np.abs(prev.p))
+            + cfg.h * np.max(system.m) * system.gravity)
+        npt.assert_allclose(solves[0][2], fresh, rtol=0, atol=roundoff)
+
+
+class TestLargeCoordinates:
+    """The step works on the displacement, so where the system sits
+    changes its result only through the roundoff of storing q."""
+
+    def shifted_run(self, shift, duration):
+        system, spec = build_box(n_particles=218)
+        system.pos[:, 2] += shift
+        system.walls = [Wall(w.point + [0.0, 0.0, shift], w.normal)
+                        for w in system.walls]
+        spec.duration = duration
+        result = run_simulation(system, spec)
+        return result.final_system.pos - [0.0, 0.0, shift], result
+
+    def test_moved_box_matches_the_unmoved_run(self):
+        # 0.15 s = 358 steps: free fall, then the bottom layer lands
+        ref, result = self.shifted_run(0.0, 0.15)
+        assert result.diagnostics[-1].stats.potential_contact > 0.0   # landed
+        # 0.2 % of the static overlap m g / k_n. Storing q_k + D rounds z
+        # to ulp(1000) = 1.1e-13, the momentum follows the stored q, and
+        # the stiff landing amplifies that to about 3e-9 at +1000 d
+        static_overlap = 1.0 / STIFFNESS_RATIO
+        for shift in (40.0, 1000.0):
+            got, _ = self.shifted_run(shift, 0.15)
+            npt.assert_allclose(got, ref, rtol=0, atol=2e-3 * static_overlap)
+
+    def test_tall_column_at_the_default_box_size(self):
+        # N = 4000 in the default 6 x 6 box stacks the particles up to z = 93
+        system, spec = build_box(n_particles=4000)
+        assert np.max(system.pos[:, 2]) > 90.0
+        spec.duration = 3 * spec.h
+        result = run_simulation(system, spec)
+        assert result.steps == 3
+        # every particle is in free fall: z_n = z_0 - g h^2 n (n + 1) / 2
+        drop = system.pos[:, 2] - result.final_system.pos[:, 2]
+        # to the roundoff of storing z near 93, once per step and once here
+        npt.assert_allclose(drop, 6.0 * spec.h ** 2 * system.gravity,
+                            rtol=0, atol=4 * np.spacing(100.0))
+
+
+class TestStepFailure:
+    def test_run_reports_the_failing_step_and_time(self, monkeypatch):
+        system, spec = build_box(n_particles=18, box_size=3)
+        system.pos[:, 2] -= 0.0045   # pressed together, as in pressed_box
+        spec.duration = 10 * spec.h
+        step = VIIntegrator.step
+
+        def budget_gone_at_step_3(integ, state):
+            if state.k == 2:
+                monkeypatch.setattr(vi, "NEWTON_MAX", 0)
+            return step(integ, state)
+
+        monkeypatch.setattr(VIIntegrator, "step", budget_gone_at_step_3)
+        with pytest.raises(StepFailureError) as info:
+            run_simulation(system, spec)
+        t = spec.h + spec.h
+        assert (info.value.step, info.value.t) == (3, t)
+        assert str(info.value).endswith(f"(step 3, t = {t!r})")
+        assert info.value.iterations == 0
 
 
 class TestSolverPath:
