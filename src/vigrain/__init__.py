@@ -10,8 +10,7 @@ from .analytic import (ImpactParams, collision_times, contact_phase_duration,
                        contact_phase_position, contact_phase_velocity,
                        exit_speed, impact_position, impact_velocity,
                        impact_velocity_consistent)
-from .contact import (ContactSet, NeighborList, build_neighbor_list,
-                      create_bonds, detect_contacts,
+from .contact import (ContactSet, NeighborList, create_bonds, detect_contacts,
                       detect_contacts_brute_force)
 from .diagnostics import (FrameStats, ensemble_stats, kinetic_energy,
                           mean_kinetic, particle_kinetic, total_energy,

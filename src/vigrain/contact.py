@@ -1,6 +1,6 @@
 """Contact detection: the rows of the one contact law.
 
-A Verlet neighbor list caches candidate pairs inside a skin margin and
+A Verlet neighbor list caches candidate pairs and walls inside a skin and
 stays valid until some particle has moved half the skin. It is built
 from a uniform cell list (Verlet, Phys. Rev. 159, 98 (1967); Allen &
 Tildesley, Computer Simulation of Liquids) in O(N) time and memory:
@@ -39,16 +39,35 @@ _HALF_SHELL = np.array([o for o in itertools.product((-1, 0, 1), repeat=3)
 
 
 class NeighborList:
-    """Candidate pair list with a displacement guard.
-
-    Contains every pair closer than d + skin at build time; remains a
-    superset of the true contacts while no particle has moved skin/2.
+    """The contact detector of a run: its walls and bonds as arrays, and
+    the candidate rows of the last build (unbonded pairs closer than
+    d + skin, the bonds, (particle, wall) pairs closer than d/2 + skin),
+    a superset of the contacts while no particle has moved skin/2.
     """
 
-    def __init__(self, pairs: np.ndarray, skin: float, ref_pos: np.ndarray):
-        self.pairs = pairs
+    def __init__(self, system: ParticleSystem, pairs: np.ndarray, skin: float):
         self.skin = float(skin)
-        self.ref_pos = ref_pos.copy()
+        self.normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
+        self.offsets = np.array([w.point @ w.normal for w in system.walls])
+        self.bonds = np.array([(b.i, b.j) for b in system.bonds],
+                              dtype=np.int64).reshape(-1, 2)
+        self.k_bond = np.array([b.k_bond for b in system.bonds])
+        self._q = None            # the configuration of the cached set
+        self._contacts = None
+        self._hold(system, pairs)
+
+    def _hold(self, system: ParticleSystem, pairs: np.ndarray) -> None:
+        """Take the candidate rows of a build at system's positions."""
+        pos, n = system.pos, system.n
+        if self.bonds.size:
+            pairs = pairs[~np.isin(pairs[:, 0] * n + pairs[:, 1],
+                                   self.bonds[:, 0] * n + self.bonds[:, 1])]
+        # the pair rows, then the bond rows; with no bonds, pairs is not copied
+        rows = np.concatenate([pairs, self.bonds]) if self.bonds.size else pairs
+        self.pairs, self.ends = rows[:len(pairs)], rows.T
+        gap = pos @ self.normals.T - self.offsets - 0.5 * system.d[:, None]
+        self.wall_rows = (gap < self.skin).nonzero()   # sorted by (i, wall)
+        self.ref_pos = pos.copy()
 
     @classmethod
     def build(cls, system: ParticleSystem, skin: float | None = None) -> "NeighborList":
@@ -56,7 +75,7 @@ class NeighborList:
             skin = DEFAULT_SKIN_FACTOR * float(np.min(system.d))
         if skin <= 0.0:
             raise ValueError("skin distance must be positive")
-        return cls(cls._candidate_pairs(system.pos, system.d, skin), skin, system.pos)
+        return cls(system, cls._candidate_pairs(system.pos, system.d, skin), skin)
 
     @staticmethod
     def _candidate_pairs(pos: np.ndarray, d: np.ndarray, skin: float) -> np.ndarray:
@@ -129,8 +148,18 @@ class NeighborList:
         return bool(np.sqrt(moved2) < 0.5 * self.skin)
 
     def rebuild(self, system: ParticleSystem) -> None:
-        self.pairs = self._candidate_pairs(system.pos, system.d, self.skin)
-        self.ref_pos = system.pos.copy()
+        self._hold(system, self._candidate_pairs(system.pos, system.d, self.skin))
+
+    def contacts_at(self, work: ParticleSystem, q: np.ndarray) -> "ContactSet":
+        """Contacts with work's centres moved to q, rebuilding a stale list;
+        an equal q returns the last set. work is this list's one system."""
+        if self._q is None or not np.array_equal(q, self._q):
+            work.pos[:] = q.reshape(work.n, BLOCK)[:, :3]
+            if not self.is_valid(work.pos):
+                self.rebuild(work)
+            self._contacts = _detect_unchecked(work, self)
+            self._q = np.array(q, dtype=float)
+        return self._contacts
 
 
 def _gap_ranks(c: np.ndarray) -> np.ndarray:
@@ -183,11 +212,6 @@ class ContactSet:
         self.m_eff, self.k = m_eff, k
         self.n_pp = n_pp
         self._scatter = {}
-
-    @classmethod
-    def empty(cls, n_bodies: int, n_ghosts: int) -> "ContactSet":
-        idx, f, v3 = np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 3))
-        return cls(n_bodies, n_ghosts, idx, idx, f, v3, v3, f, f, 0)
 
     @property
     def wall(self) -> np.ndarray:
@@ -255,12 +279,8 @@ def cross_rows(a, b):
 
 
 def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
-    """Collect the active contacts of a configuration.
-
-    Pairs come from the neighbor list (delta > 0, bonded pairs excluded),
-    walls are checked per particle, bonds are always active. Raises
-    StaleNeighborListError when the displacement guard has been violated.
-    """
+    """The active contacts of a configuration, from nlist's rows; raises
+    StaleNeighborListError when the displacement guard has been violated."""
     if not nlist.is_valid(system.pos):
         raise StaleNeighborListError(
             "neighbor list displacement guard violated; rebuild required")
@@ -268,23 +288,10 @@ def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
 
 
 def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
+    """The candidate rows of nlist that touch: overlapping pairs, every
+    bond, and overlapping walls, whose ghost partner is body n + wall."""
     n, pos, d, m = system.n, system.pos, system.d, system.m
-
-    # wall rows: the ghost partner of wall w is body n + w
-    normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
-    offsets = np.array([w.point @ w.normal for w in system.walls])
-    wall_delta = 0.5 * d[:, None] - (pos @ normals.T - offsets)  # (n, n_walls)
-    wi, widx = (wall_delta > 0.0).nonzero()  # row-major: sorted by (i, wall)
-
-    # pair rows: overlapping unbonded candidates, then every bond
-    bonds = np.array([(b.i, b.j) for b in system.bonds], dtype=np.int64).reshape(-1, 2)
-    cand = nlist.pairs
-    if not (cand.size or bonds.size or wi.size):    # nothing is near anything
-        return ContactSet.empty(n, normals.shape[0])
-    if bonds.size:
-        cand = cand[~np.isin(cand[:, 0] * n + cand[:, 1], bonds[:, 0] * n + bonds[:, 1])]
-    pairs = np.concatenate([cand, bonds])
-    ii, jj = pairs[:, 0], pairs[:, 1]
+    ii, jj = nlist.ends
     # 1-D gathers of the columns, summed in the order of a row sum
     x, y, z = pos.T
     dx, dy, dz = x[ii] - x[jj], y[ii] - y[jj], z[ii] - z[jj]
@@ -295,33 +302,32 @@ def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet
         raise SingularGeometryError(
             f"particles {ii[bad]} and {jj[bad]} have coincident centers")
     keep = dist < d_i
-    keep[cand.shape[0]:] = True                 # bonds act at any overlap
-    if not (keep.any() or wi.size):             # nothing touches
-        return ContactSet.empty(n, normals.shape[0])
+    keep[nlist.pairs.shape[0]:] = True          # bonds act at any overlap
     ii, jj, dist = ii[keep], jj[keep], dist[keep]
     r_ij = pos[ii] - pos[jj]
 
-    n_pp = ii.size - bonds.shape[0]
+    wi, widx = nlist.wall_rows
+    wall_delta = 0.5 * d[wi] - (np.einsum("cd,cd->c", pos[wi], nlist.normals[widx])
+                                - nlist.offsets[widx])
+    touch = wall_delta > 0.0
+    wi, widx, wall_delta = wi[touch], widx[touch], wall_delta[touch]
+    normals = nlist.normals[widx]
+
+    n_pp = ii.size - nlist.bonds.shape[0]
     return ContactSet(
-        n, normals.shape[0],
+        n, nlist.normals.shape[0],
         i=np.concatenate([ii, wi]),
         j=np.concatenate([jj, n + widx]),
-        delta=np.concatenate([d[ii] - dist, wall_delta[wi, widx]]),
-        normal=np.concatenate([r_ij / dist[:, None], normals[widx]]),
-        arm=np.concatenate([r_ij, d[wi, None] * normals[widx]]),
+        delta=np.concatenate([d[ii] - dist, wall_delta]),
+        normal=np.concatenate([r_ij / dist[:, None], normals]),
+        arm=np.concatenate([r_ij, d[wi, None] * normals]),
         m_eff=np.concatenate([m[ii] * m[jj] / (m[ii] + m[jj]), m[wi]]),
-        k=np.concatenate([np.zeros(n_pp), [b.k_bond for b in system.bonds],
-                          np.zeros(wi.size)]),
+        k=np.concatenate([np.zeros(n_pp), nlist.k_bond, np.zeros(wi.size)]),
         n_pp=n_pp)
 
 
-def build_neighbor_list(system: ParticleSystem,
-                        skin: float | None = None) -> NeighborList:
-    """Candidate pair list for a configuration; skin defaults to 0.3 d."""
-    return NeighborList.build(system, skin)
-
-
 def detect_contacts_brute_force(system: ParticleSystem) -> ContactSet:
-    """Contact detection against all O(N^2) pairs; the oracle for the cell list."""
+    """Contact detection against all O(N^2) pairs and every wall; the
+    oracle for the cell list."""
     pairs = np.stack(np.triu_indices(system.n, k=1), axis=1)
-    return detect_contacts(system, NeighborList(pairs, np.inf, system.pos))
+    return detect_contacts(system, NeighborList(system, pairs, np.inf))

@@ -91,6 +91,6 @@ def ensemble_stats(system: ParticleSystem, contacts: ContactSet | None = None,
         potential_gravity=v_grav,
         total_energy=k_t + k_r + v_contact + v_grav,
         momentum=total_momentum(system),
-        kbar=mean_kinetic(system),
+        kbar=(k_t + k_r) / system.n,
         dv=velocity_fluctuation(system),
     )

@@ -129,11 +129,11 @@ def write_trajectory(frames: list[TrajectoryFrame], path) -> None:
 def read_trajectory(path) -> list[TrajectoryFrame]:
     """Inverse of write_trajectory (exact for round-trip formatted floats).
 
-    Reads line by line, so no more than one frame is held as text.
+    Reads line by line and makes each frame one array as it ends, so no
+    more than one frame is held as text or as Python floats.
     """
     frames: list[TrajectoryFrame] = []
-    current_t = None
-    pos, vel, omg = [], [], []
+    current_t, values = None, []
     with Path(path).open() as fh:
         if fh.readline().strip() != TRAJECTORY_HEADER:
             raise ConfigError("unrecognized trajectory header")
@@ -142,18 +142,20 @@ def read_trajectory(path) -> list[TrajectoryFrame]:
                 continue
             parts = line.split(",")
             t = float(parts[0])
-            vals = [float(x) for x in parts[2:]]
-            if current_t is None or t != current_t:
-                if current_t is not None:
-                    frames.append(TrajectoryFrame(current_t, np.array(pos),
-                                                  np.array(vel), np.array(omg)))
-                current_t = t
-                pos, vel, omg = [], [], []
-            pos.append(vals[0:3]); vel.append(vals[3:6]); omg.append(vals[6:9])
-    if current_t is not None:
-        frames.append(TrajectoryFrame(current_t, np.array(pos),
-                                      np.array(vel), np.array(omg)))
+            if t != current_t:
+                if values:
+                    frames.append(_frame(current_t, values))
+                current_t, values = t, []
+            values.extend(map(float, parts[2:]))
+    if values:
+        frames.append(_frame(current_t, values))
     return frames
+
+
+def _frame(t: float, values: list[float]) -> TrajectoryFrame:
+    rows = np.array(values).reshape(-1, 9)
+    return TrajectoryFrame(t, rows[:, 0:3].copy(), rows[:, 3:6].copy(),
+                           rows[:, 6:9].copy())
 
 
 def write_diagnostics(rows: list[DiagnosticsRow], path) -> None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteStateError
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -187,13 +189,28 @@ def pack_state(system: ParticleSystem, t: float = 0.0, k: int = 0) -> Generalize
     return GeneralizedState(q=q.ravel(), p=p, t=t, k=k)
 
 
+def unpack_into(state: GeneralizedState, system: ParticleSystem) -> None:
+    """Write (q, p) into system's positions, orientations and velocities,
+    with v = M^-1 p, in place."""
+    n = system.n
+    q, p = state.q.reshape(n, 6), state.p.reshape(n, 6)  # ValueError on a bad size
+    system.pos[:], system.theta[:] = q[:, :3], q[:, 3:]
+    system.vel[:] = p[:, :3] / system.m[:, None]
+    system.omega[:] = p[:, 3:] / system.inertia[:, None]
+
+
 def unpack_state(state: GeneralizedState, template: ParticleSystem) -> ParticleSystem:
     """Rebuild a particle system from (q, p) using template masses and geometry."""
-    n = template.n
-    if state.q.size != 6 * n:
-        raise ValueError(f"state has {state.q.size} rows, template needs {6 * n}")
-    q = state.q.reshape(n, 6)
-    v = assemble_mass_matrix(template).solve(state.p).reshape(n, 6)
-    return ParticleSystem(q[:, :3], v[:, :3], v[:, 3:], q[:, 3:],
-                          template.d, template.m, template.walls,
-                          template.bonds, template.gravity)
+    system = template.copy()
+    unpack_into(state, system)
+    return system
+
+
+def check_finite(q: np.ndarray, p: np.ndarray, where: str) -> None:
+    """Raise NonFiniteStateError naming the first particle with a NaN or
+    infinite entry in q, or else in p; where says which state that is."""
+    for name, x in (("q", q), ("p", p)):
+        if not np.isfinite(x).all():
+            bad = int(np.argmin(np.isfinite(x))) // 6
+            raise NonFiniteStateError(
+                f"{where}: particle {bad} has a non-finite {name}", iterations=0)

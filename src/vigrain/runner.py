@@ -7,7 +7,8 @@ import numpy as np
 
 from .diagnostics import FrameStats, ensemble_stats
 from .errors import VigrainError
-from .model import GeneralizedState, ParticleSystem, pack_state, unpack_state
+from .model import (GeneralizedState, ParticleSystem, pack_state, unpack_into,
+                    unpack_state)
 from .scenarios import ScenarioSpec
 from .vi import VIConfig, VIIntegrator
 from .verlet import VerletIntegrator
@@ -95,7 +96,8 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
         # the next VI step starts from the set detected here
         contacts = (stepper.contacts_at(state.q)
                     if sample_diag or spec.max_collisions is not None else None)
-        work = unpack_state(state, system) if (sample_traj or sample_diag) else None
+        if sample_traj or sample_diag:
+            unpack_into(state, work)
         if sample_traj:
             result.frames.append(_sample_frame(work, state.t))
         if sample_diag:

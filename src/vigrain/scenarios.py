@@ -139,26 +139,19 @@ def build_box(n_particles: int = 218, box_size: float = 6.0,
     gap_z = 0.004 * d
     jitter_z = 0.0005 * d
 
-    def layer_sites(offset: bool):
-        if offset:
-            side = full_side - 1
-            coords = [d * (1.0 + i) for i in range(side)]
-        else:
-            side = full_side
-            coords = [d * (0.5 + i) for i in range(side)]
-        return [(x, y) for y in coords for x in coords]
-
-    pos = []
-    layer = 0
-    while len(pos) < n_particles:
+    layers, placed, layer = [], 0, 0
+    while placed < n_particles:
         z = 0.5 * d + layer * layer_dz + (layer + 1) * gap_z
         if z + 0.5 * d > 20.0 * box:
             raise ValueError(f"cannot place {n_particles} particles in the box")
-        for (x, y) in layer_sites(offset=(layer % 2 == 1)):
-            if len(pos) == n_particles:
-                break
-            pos.append([x, y, z + jitter_z * rng.uniform(-1.0, 1.0)])
+        offset = layer % 2 == 1
+        coords = d * ((1.0 if offset else 0.5) + np.arange(full_side - offset))
+        y, x = np.meshgrid(coords, coords, indexing="ij")   # x runs fastest
+        layers.append(np.stack([x.ravel(), y.ravel(), np.full(x.size, z)], axis=1))
+        placed += x.size
         layer += 1
+    pos = np.concatenate(layers)[:n_particles]
+    pos[:, 2] += jitter_z * rng.uniform(-1.0, 1.0, size=n_particles)
 
     walls = [
         Wall(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])),
@@ -168,7 +161,7 @@ def build_box(n_particles: int = 218, box_size: float = 6.0,
         Wall(np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
         Wall(np.array([0.0, box, 0.0]), np.array([0.0, -1.0, 0.0])),
     ]
-    system = ParticleSystem(np.array(pos), d=d, m=1.0, walls=walls, gravity=1.0)
+    system = ParticleSystem(pos, d=d, m=1.0, walls=walls, gravity=1.0)
     spec = ScenarioSpec(name="box", gamma=gamma, n_particles=n_particles,
                         box_size=box_size, seed=seed, alpha=0.0,
                         h_fraction=12.0, duration=6.0,

@@ -10,21 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import forces as _forces
-from .contact import ContactSet, NeighborList, _detect_unchecked
-from .errors import NonFiniteStateError
+from .contact import ContactSet, NeighborList
+from .contact import _detect_unchecked  # noqa: F401; a benchmark probe wraps it
 from .forces import ContactParams
-from .linsolve import BLOCK
-from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
+from .model import (GeneralizedState, ParticleSystem, assemble_mass_matrix,
+                    check_finite)
 
 
 class VerletIntegrator:
     """Work buffers and neighbor list for a velocity-Verlet run.
 
-    Keeps the contacts and -grad V of the last configuration it saw, so
-    the first kick of a step reuses the last kick's detection and
-    gradient; only the damping term is evaluated at both velocities.
-    That is velocity Verlet's one force evaluation per step (Swope,
-    Andersen, Berens & Wilson, J. Chem. Phys. 76, 637 (1982)).
+    The list keeps the contacts of the last configuration it saw, and
+    the integrator the -grad V of that set, so the first kick of a step
+    reuses the last kick's detection and gradient; only the damping term
+    is evaluated at both velocities. That is velocity Verlet's one force
+    evaluation per step (Swope, Andersen, Berens & Wilson, J. Chem. Phys.
+    76, 637 (1982)).
     """
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
@@ -38,26 +39,19 @@ class VerletIntegrator:
         self.work = system.copy()
         self.nlist = NeighborList.build(system)
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
-        self._q = None           # the configuration of the cached set
-        self._contacts = None
-        self._neg_grad = None    # -grad V at _q, once evaluated
+        self._grad_set = None    # the contact set _neg_grad was evaluated on
+        self._neg_grad = None
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
         """Contacts with the centres at q; an equal q reuses the last set."""
-        if self._q is None or not np.array_equal(q, self._q):
-            self.work.pos[:] = q.reshape(self.work.n, BLOCK)[:, :3]
-            if not self.nlist.is_valid(self.work.pos):
-                self.nlist.rebuild(self.work)
-            self._contacts = _detect_unchecked(self.work, self.nlist)
-            self._q = np.array(q, dtype=float)
-            self._neg_grad = None
-        return self._contacts
+        return self.nlist.contacts_at(self.work, q)
 
     def _force(self, q: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         contacts = self.contacts_at(q)
-        if self._neg_grad is None:
+        if contacts is not self._grad_set:
             self._neg_grad = -_forces.potential_gradient(self.work, contacts,
                                                          self.params)
+            self._grad_set = contacts
         f = self._neg_grad
         if self._damped:
             f = f + _forces.nonconservative_force(self.work, contacts,
@@ -65,6 +59,8 @@ class VerletIntegrator:
         return f
 
     def step(self, state: GeneralizedState) -> GeneralizedState:
+        check_finite(state.q, state.p,
+                     f"input of Verlet step {state.k} (t = {state.t:g})")
         h = self.h
         v = self.mass.solve(state.p)
         v_half = v + 0.5 * h * self.mass.solve(self._force(state.q, v))
@@ -72,12 +68,7 @@ class VerletIntegrator:
         v_new = v_half + 0.5 * h * self.mass.solve(self._force(q_new, v_half))
         p_new = self.mass.matvec(v_new)
         # a NaN in the orientations never reaches the neighbour-list guard
-        for name, x in (("q", q_new), ("p", p_new)):
-            if not np.isfinite(x).all():
-                bad = int(np.flatnonzero(~np.isfinite(x))[0]) // BLOCK
-                raise NonFiniteStateError(
-                    f"Verlet step {state.k} (t = {state.t:g}) gave particle "
-                    f"{bad} a non-finite {name}", iterations=0)
+        check_finite(q_new, p_new, f"Verlet step {state.k} (t = {state.t:g}) result")
         return GeneralizedState(q=q_new, p=p_new, t=state.t + h, k=state.k + 1)
 
 

@@ -64,7 +64,8 @@ from .contact import ContactSet, NeighborList
 from .errors import IndefiniteOperatorError, SolverFailureError, StepFailureError
 from .forces import ContactParams
 from .linsolve import BLOCK, BlockSparseMatrix, cg_solve
-from .model import GeneralizedState, ParticleSystem, assemble_mass_matrix
+from .model import (GeneralizedState, ParticleSystem, assemble_mass_matrix,
+                    check_finite)
 
 RESIDUAL_SCALE_TOL = 1e-8
 NEWTON_TOL = 1e-10       # last correction, in units of the smallest diameter
@@ -114,21 +115,12 @@ class QuasiStaticReport:
     energy: float
 
 
-def _detect_at(work: ParticleSystem, nlist: NeighborList,
-               q: np.ndarray) -> ContactSet:
-    """Contacts with work's centres moved to q; rebuilds a stale nlist."""
-    work.pos[:] = q.reshape(work.n, BLOCK)[:, :3]
-    if not nlist.is_valid(work.pos):
-        nlist.rebuild(work)
-    return _contact._detect_unchecked(work, nlist)
-
-
 class VIIntegrator:
     """Owns the work buffers, mass matrix and neighbor list for a run.
 
-    Keeps the contacts of the last configuration it detected, so a step
-    that starts where the caller last asked for contacts (contacts_at)
-    detects it once.
+    The list keeps the contacts of the last configuration it detected, so
+    a step that starts where the caller last asked for contacts
+    (contacts_at) detects it once.
     """
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
@@ -144,17 +136,12 @@ class VIIntegrator:
         self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
         self._m_over_h = (1.0 / cfg.h) * self.mass.diag
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
-        self._q = None           # the configuration of the cached set
-        self._contacts = None
 
     # -- contact evaluation ------------------------------------------------
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
         """Contacts with the centres at q; an equal q reuses the last set."""
-        if self._q is None or not np.array_equal(q, self._q):
-            self._contacts = _detect_at(self.work, self.nlist, q)
-            self._q = np.array(q, dtype=float)
-        return self._contacts
+        return self.nlist.contacts_at(self.work, q)
 
     def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
         """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
@@ -252,6 +239,8 @@ class VIIntegrator:
         return BlockSparseMatrix(self.system.n, self._m_over_h)
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
+        check_finite(state.q, state.p,
+                     f"input of VI step {state.k} (t = {state.t:g})")
         q_next, p_next, report = self.solve_position(state.q, state.p)
         new_state = GeneralizedState(q=q_next, p=p_next,
                                      t=state.t + self.cfg.h, k=state.k + 1)
@@ -340,7 +329,7 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
     tol = STATIC_TOL * params.k_n * d_min
     max_step = 0.1 * d_min
 
-    contacts = _detect_at(work, nlist, q)
+    contacts = nlist.contacts_at(work, q)
     for it in range(STATIC_MAX_ITER + 1):
         grad = _forces.potential_gradient(work, contacts, params)
         g_norm = float(np.max(np.abs(grad), initial=0.0))
@@ -367,7 +356,7 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
         v_old = _forces.potential_energy(work, contacts, params)
         for _ in range(40):
             trial = q + dq
-            contacts_trial = _detect_at(work, nlist, trial)
+            contacts_trial = nlist.contacts_at(work, trial)
             v_new = _forces.potential_energy(work, contacts_trial, params)
             if v_new <= v_old + 1e-12 * (abs(v_old) + 1.0):
                 q = trial

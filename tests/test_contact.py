@@ -49,6 +49,14 @@ def clouds(draw):
     return pos, np.full(n, diameter), skin
 
 
+# a wall whose normal has no zero component, so its distance is rounded;
+# it cuts off the (+, +, +) corner of random_system's cloud
+TILTED = Wall(np.full(3, 0.6), -np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0))
+# the per-row wall distance of two detections of one configuration may
+# differ by the rounding of a dot product of coordinates below 3 in size
+ROUNDOFF = 16 * np.finfo(float).eps
+
+
 def two_particles(gap, **kw):
     return ParticleSystem([[0, 0, 0], [gap, 0, 0]], **kw)
 
@@ -312,6 +320,7 @@ class TestDetectContacts:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_after_drift(self, seed):
         s = random_system(seed, n=8, walls=True)
+        s.walls.append(TILTED)
         nl = NeighborList.build(s)
         rng = np.random.default_rng(seed + 1000)
         # move everything by strictly less than skin/2
@@ -319,4 +328,21 @@ class TestDetectContacts:
         got = detect_contacts(s, nl)
         want = detect_contacts_brute_force(s)
         assert got.signature() == want.signature()
-        npt.assert_allclose(got.delta, want.delta)
+        npt.assert_allclose(got.delta, want.delta, rtol=0, atol=ROUNDOFF)
+
+    @pytest.mark.parametrize("wall", [Wall(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+                                      TILTED], ids=["axis", "tilted"])
+    def test_wall_candidate_reached_within_the_guard(self, wall):
+        # a particle d/2 + 0.45 skin from the wall is a candidate, not a
+        # contact; 0.49 skin toward the wall it touches, and the list is valid
+        s = ParticleSystem([[0.0, 0.0, 0.0]], walls=[wall])
+        skin = 0.3
+        s.pos[0] = wall.point + (0.5 + 0.45 * skin) * wall.normal
+        nl = NeighborList.build(s, skin=skin)
+        assert detect_contacts(s, nl).n_wall == 0
+        s.pos[0] -= 0.49 * skin * wall.normal
+        got = detect_contacts(s, nl)
+        want = detect_contacts_brute_force(s)
+        assert got.signature() == want.signature() == (0, (0,), (1,))
+        npt.assert_allclose(got.delta, want.delta, rtol=0, atol=ROUNDOFF)
+        npt.assert_allclose(got.delta, [0.04 * skin], rtol=0, atol=ROUNDOFF)

@@ -4,8 +4,9 @@ import pytest
 
 from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
                      ParticleSystem, VIConfig, VIIntegrator, VerletIntegrator,
-                     build_impact, build_walls, detect_contacts, forces,
-                     pack_state, total_energy, unpack_state, verlet, verlet_step)
+                     build_impact, build_walls, contact, detect_contacts,
+                     forces, pack_state, total_energy, unpack_state,
+                     verlet_step)
 from vigrain.contact import NeighborList
 from vigrain.forces import contact_time
 
@@ -51,8 +52,38 @@ def test_non_finite_rotation_fails_at_once():
     params = ContactParams.from_damping_ratio(30.0, 1.0)
     state = pack_state(system)
     state.p[3] = np.nan
-    with pytest.raises(NonFiniteStateError, match="particle 0 a non-finite q"):
+    with pytest.raises(NonFiniteStateError, match="particle 0 has a non-finite p"):
         VerletIntegrator(system, params, T_C / 40).step(state)
+
+
+@pytest.mark.parametrize("field, index, bad, blamed", [
+    ("q", 3, np.nan, "particle 0 has a non-finite q"),
+    ("p", 8, np.inf, "particle 1 has a non-finite p")])
+def test_non_finite_input_is_named_at_entry(field, index, bad, blamed):
+    system, _ = build_impact(0.0, 30.0, 1.0)
+    params = ContactParams.from_damping_ratio(30.0, 1.0)
+    state = pack_state(system)
+    getattr(state, field)[index] = bad
+    with pytest.raises(NonFiniteStateError,
+                       match=rf"^input of Verlet step 0 \(t = 0\): {blamed}$"):
+        VerletIntegrator(system, params, T_C / 40).step(state)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_result_is_blamed_on_the_step(monkeypatch):
+    # an infinite torque turns an orientation non-finite, which the
+    # neighbour-list guard never sees
+    def infinite_torque(system, contacts, params):
+        grad = np.zeros(6 * system.n)
+        grad[3] = np.inf
+        return grad
+
+    system, params = touching_pair()
+    monkeypatch.setattr(forces, "potential_gradient", infinite_torque)
+    with pytest.raises(NonFiniteStateError,
+                       match=r"^Verlet step 0 \(t = 0\) result: particle 0 "
+                             r"has a non-finite q$"):
+        VerletIntegrator(system, params, T_C / 40).step(pack_state(system))
 
 
 def touching_pair():
@@ -66,7 +97,7 @@ def test_steady_state_step_detects_once(monkeypatch):
     system, params = touching_pair()
     integ = VerletIntegrator(system, params, T_C / 40)
     state = integ.step(pack_state(system))
-    detect = count_calls(monkeypatch, verlet, "_detect_unchecked")
+    detect = count_calls(monkeypatch, contact, "_detect_unchecked")
     gradient = count_calls(monkeypatch, forces, "potential_gradient")
     damping = count_calls(monkeypatch, forces, "nonconservative_force")
     state = integ.step(state)
@@ -88,7 +119,7 @@ def test_changed_q_is_detected_again(monkeypatch, change):
         q = state.q.copy()
         q[0] = np.nextafter(q[0], np.inf)
         state = GeneralizedState(q=q, p=state.p, t=state.t, k=state.k)
-    detect = count_calls(monkeypatch, verlet, "_detect_unchecked")
+    detect = count_calls(monkeypatch, contact, "_detect_unchecked")
     got = integ.step(state)
     assert len(detect) == 2
     want = VerletIntegrator(system, params, T_C / 40).step(state)

@@ -252,6 +252,20 @@ class TestVIStep:
             integ.step(state)
         assert info.value.iterations == 0
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("field, index, bad, blamed", [
+        ("q", 3, np.nan, "particle 0 has a non-finite q"),
+        ("p", 8, np.inf, "particle 1 has a non-finite p")])
+    def test_non_finite_input_is_named_at_entry(self, damped_params, alpha,
+                                                field, index, bad, blamed):
+        system, _ = build_impact(0.0, 30.0, 1.0)
+        integ = VIIntegrator(system, damped_params, VIConfig(h=T_C / 40, alpha=alpha))
+        state = pack_state(system)
+        getattr(state, field)[index] = bad
+        with pytest.raises(NonFiniteStateError,
+                           match=rf"^input of VI step 0 \(t = 0\): {blamed}$"):
+            integ.step(state)
+
 
 def pressed_box():
     """A damped 18-particle box whose layers start pressed together."""
