@@ -31,11 +31,10 @@ from .model import (Bond, GeneralizedState, MassMatrix, ParticleSystem, Wall,
 from .runner import RunResult, run_simulation
 from .scenarios import (ScenarioSpec, build_bonded, build_box, build_impact,
                         build_scenario, build_walls)
-from .verlet import VerletIntegrator, verlet_step
+from .verlet import VerletIntegrator
 from .vi import (QuasiStaticReport, StepReport, VIConfig, VIIntegrator,
                  discrete_lagrangian, implicit_position_solve,
-                 momentum_update, quasi_static_solve, residual, stiffness,
-                 vi_step)
+                 momentum_update, quasi_static_solve, residual, stiffness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

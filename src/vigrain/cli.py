@@ -22,8 +22,6 @@ from .forces import STIFFNESS_RATIO, contact_time
 from .io import parse_config, write_diagnostics, write_trajectory
 from .runner import run_simulation
 from .scenarios import SCENARIO_BUILDERS, build_impact, build_scenario
-from .vi import VIConfig, VIIntegrator
-from .model import pack_state
 
 
 def _write_outputs(result, out_dir: Path) -> None:
@@ -115,13 +113,8 @@ def _cmd_convergence(args) -> int:
             system, spec = build_impact(0.0, gamma, v)
             spec.alpha = alpha
             spec.h_fraction = float(frac)
-            h = spec.h
-            n_steps = int(round((t_a + t_c / 2.0) / h))
-            cfg = VIConfig(h=h, alpha=alpha)
-            integ = VIIntegrator(system, spec.contact_params(), cfg)
-            state = pack_state(system)
-            for _ in range(n_steps):
-                state, _ = integ.step(state)
+            spec.duration = round((t_a + t_c / 2.0) / spec.h) * spec.h
+            state = run_simulation(system, spec).final_state
             v_sim = state.p[0] / system.m[0]
             v_ref = contact_phase_velocity(state.t - t_a, oracle)
             errs.append(abs(v_sim - v_ref))

@@ -43,10 +43,14 @@ class NeighborList:
     the candidate rows of the last build (unbonded pairs closer than
     d + skin, the bonds, (particle, wall) pairs closer than d/2 + skin),
     a superset of the contacts while no particle has moved skin/2.
+    It keeps the diameters and masses it detects with, and its own
+    (n, 3) buffer of the centres it last detected at.
     """
 
     def __init__(self, system: ParticleSystem, pairs: np.ndarray, skin: float):
         self.skin = float(skin)
+        self.d, self.m = system.d, system.m
+        self.pos = system.pos.copy()
         self.normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
         self.offsets = np.array([w.point @ w.normal for w in system.walls])
         self.bonds = np.array([(b.i, b.j) for b in system.bonds],
@@ -54,18 +58,18 @@ class NeighborList:
         self.k_bond = np.array([b.k_bond for b in system.bonds])
         self._q = None            # the configuration of the cached set
         self._contacts = None
-        self._hold(system, pairs)
+        self._hold(system.pos, pairs)
 
-    def _hold(self, system: ParticleSystem, pairs: np.ndarray) -> None:
-        """Take the candidate rows of a build at system's positions."""
-        pos, n = system.pos, system.n
+    def _hold(self, pos: np.ndarray, pairs: np.ndarray) -> None:
+        """Take the candidate rows of a build at the centres pos."""
+        n = pos.shape[0]
         if self.bonds.size:
             pairs = pairs[~np.isin(pairs[:, 0] * n + pairs[:, 1],
                                    self.bonds[:, 0] * n + self.bonds[:, 1])]
         # the pair rows, then the bond rows; with no bonds, pairs is not copied
         rows = np.concatenate([pairs, self.bonds]) if self.bonds.size else pairs
         self.pairs, self.ends = rows[:len(pairs)], rows.T
-        gap = pos @ self.normals.T - self.offsets - 0.5 * system.d[:, None]
+        gap = pos @ self.normals.T - self.offsets - 0.5 * self.d[:, None]
         self.wall_rows = (gap < self.skin).nonzero()   # sorted by (i, wall)
         self.ref_pos = pos.copy()
 
@@ -148,16 +152,19 @@ class NeighborList:
         return bool(np.sqrt(moved2) < 0.5 * self.skin)
 
     def rebuild(self, system: ParticleSystem) -> None:
-        self._hold(system, self._candidate_pairs(system.pos, system.d, self.skin))
+        self._rebuild(system.pos)
 
-    def contacts_at(self, work: ParticleSystem, q: np.ndarray) -> "ContactSet":
-        """Contacts with work's centres moved to q, rebuilding a stale list;
-        an equal q returns the last set. work is this list's one system."""
+    def _rebuild(self, pos: np.ndarray) -> None:
+        self._hold(pos, self._candidate_pairs(pos, self.d, self.skin))
+
+    def contacts_at(self, q: np.ndarray) -> "ContactSet":
+        """Contacts with the centres at q, rebuilding a stale list; an
+        equal q returns the last set."""
         if self._q is None or not np.array_equal(q, self._q):
-            work.pos[:] = q.reshape(work.n, BLOCK)[:, :3]
-            if not self.is_valid(work.pos):
-                self.rebuild(work)
-            self._contacts = _detect_unchecked(work, self)
+            self.pos[:] = q.reshape(-1, BLOCK)[:, :3]
+            if not self.is_valid(self.pos):
+                self._rebuild(self.pos)
+            self._contacts = _detect_unchecked(self.pos, self)
             self._q = np.array(q, dtype=float)
         return self._contacts
 
@@ -284,13 +291,14 @@ def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
     if not nlist.is_valid(system.pos):
         raise StaleNeighborListError(
             "neighbor list displacement guard violated; rebuild required")
-    return _detect_unchecked(system, nlist)
+    return _detect_unchecked(system.pos, nlist)
 
 
-def _detect_unchecked(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
-    """The candidate rows of nlist that touch: overlapping pairs, every
-    bond, and overlapping walls, whose ghost partner is body n + wall."""
-    n, pos, d, m = system.n, system.pos, system.d, system.m
+def _detect_unchecked(pos: np.ndarray, nlist: NeighborList) -> ContactSet:
+    """The candidate rows of nlist that touch at the centres pos:
+    overlapping pairs, every bond, and overlapping walls, whose ghost
+    partner is body n + wall."""
+    n, d, m = pos.shape[0], nlist.d, nlist.m
     ii, jj = nlist.ends
     # 1-D gathers of the columns, summed in the order of a row sum
     x, y, z = pos.T

@@ -55,10 +55,12 @@ class ContactParams:
     gamma_t: float | None = None
 
     def __post_init__(self):
-        if self.k_n <= 0.0:
-            raise ValueError("normal stiffness must be positive")
+        if not 0.0 < self.k_n < np.inf:
+            raise ValueError("normal stiffness must be finite and positive")
         if self.gamma_t is None:
             object.__setattr__(self, "gamma_t", 0.5 * self.gamma_n)
+        if not (0.0 <= self.gamma_n < np.inf and 0.0 <= self.gamma_t < np.inf):
+            raise ValueError("damping coefficients must be finite and >= 0")
 
     @classmethod
     def from_damping_ratio(cls, gamma: float, mass: float = 1.0,

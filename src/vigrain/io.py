@@ -9,6 +9,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,8 @@ def _coerce(key: str, value):
     elif not isinstance(value, typ):
         raise ConfigError(f"config key {key!r} has wrong type "
                           f"({type(value).__name__}, expected {typ.__name__})")
+    elif typ is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if not check(value):
         raise ConfigError(f"config key {key!r} out of range: expected {msg}")
     return value

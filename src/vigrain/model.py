@@ -31,6 +31,8 @@ class Wall:
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
         if self.point.shape != (3,) or self.normal.shape != (3,):
             raise ValueError("wall point and normal must be 3-vectors")
+        if not (np.isfinite(self.point).all() and np.isfinite(self.normal).all()):
+            raise ValueError("wall point and normal must be finite")
         if abs(np.linalg.norm(self.normal) - 1.0) > 1e-12:
             raise ValueError("wall normal must be unit length (within 1e-12)")
 
@@ -54,8 +56,8 @@ class Bond:
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("bond must join two distinct particles")
-        if self.k_bond <= 0.0:
-            raise ValueError("bond stiffness must be positive")
+        if not 0.0 < self.k_bond < np.inf:
+            raise ValueError("bond stiffness must be finite and positive")
         if self.i > self.j:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
@@ -87,10 +89,10 @@ class ParticleSystem:
         self.theta = self._field(theta, n)
         self.d = np.broadcast_to(np.asarray(d, dtype=float), (n,)).copy()
         self.m = np.broadcast_to(np.asarray(m, dtype=float), (n,)).copy()
-        if np.any(self.m <= 0.0):
-            raise ValueError("particle masses must be positive")
-        if np.any(self.d <= 0.0):
-            raise ValueError("particle diameters must be positive")
+        if not np.all((self.m > 0.0) & (self.m < np.inf)):
+            raise ValueError("particle masses must be finite and positive")
+        if not np.all((self.d > 0.0) & (self.d < np.inf)):
+            raise ValueError("particle diameters must be finite and positive")
         d_max = self.d.max()
         if d_max - self.d.min() > 1e-12 * d_max:
             raise ValueError("contacts are defined for equal spheres only; "
@@ -99,6 +101,8 @@ class ParticleSystem:
         self.walls = list(walls)
         self.bonds = list(bonds)
         self.gravity = float(gravity)
+        if not np.isfinite(self.gravity):
+            raise ValueError("gravity must be finite")
         for b in self.bonds:
             if not (0 <= b.i < n and 0 <= b.j < n):
                 raise ValueError(f"bond ({b.i},{b.j}) references a missing particle")

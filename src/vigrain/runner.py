@@ -56,8 +56,7 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     """
     params = spec.contact_params()
     h = spec.h
-    use_vi = spec.integrator == "vi"
-    if use_vi:
+    if spec.integrator == "vi":
         stepper = VIIntegrator(system, params, VIConfig(h=h, alpha=spec.alpha))
     else:
         stepper = VerletIntegrator(system, params, h)
@@ -78,12 +77,7 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     in_contact = False
     for step in range(1, n_steps + 1):
         try:
-            if use_vi:
-                state, report = stepper.step(state)
-                newton, cg = report.newton_iters, report.cg_iters
-            else:
-                state = stepper.step(state)
-                newton, cg = 0, 0
+            state, report = stepper.step(state)
         except VigrainError as exc:
             exc.step, exc.t = step, state.t
             exc.args = (f"{exc} (step {step}, t = {state.t!r})", *exc.args[1:])
@@ -102,7 +96,8 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
             result.frames.append(_sample_frame(work, state.t))
         if sample_diag:
             result.diagnostics.append(DiagnosticsRow(
-                ensemble_stats(work, contacts, params, t=state.t), newton, cg))
+                ensemble_stats(work, contacts, params, t=state.t),
+                report.newton_iters, report.cg_iters))
         if spec.max_collisions is not None:
             now = contacts.n_wall > 0
             if in_contact and not now:

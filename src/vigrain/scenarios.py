@@ -145,12 +145,17 @@ def build_box(n_particles: int = 218, box_size: float = 6.0,
         if z + 0.5 * d > 20.0 * box:
             raise ValueError(f"cannot place {n_particles} particles in the box")
         offset = layer % 2 == 1
-        coords = d * ((1.0 if offset else 0.5) + np.arange(full_side - offset))
-        y, x = np.meshgrid(coords, coords, indexing="ij")   # x runs fastest
-        layers.append(np.stack([x.ravel(), y.ravel(), np.full(x.size, z)], axis=1))
+        side = full_side - offset
+        # only the sites that get placed, x running fastest; a float side
+        # does not overflow int64 in a box wider than 2^63 diameters
+        y, x = np.divmod(np.arange(min(n_particles - placed, side * side)),
+                         float(side))
+        base = 1.0 if offset else 0.5
+        layers.append(np.stack([d * (base + x), d * (base + y), np.full(x.size, z)],
+                               axis=1))
         placed += x.size
         layer += 1
-    pos = np.concatenate(layers)[:n_particles]
+    pos = np.concatenate(layers)
     pos[:, 2] += jitter_z * rng.uniform(-1.0, 1.0, size=n_particles)
 
     walls = [

@@ -15,10 +15,11 @@ from .contact import _detect_unchecked  # noqa: F401; a benchmark probe wraps it
 from .forces import ContactParams
 from .model import (GeneralizedState, ParticleSystem, assemble_mass_matrix,
                     check_finite)
+from .vi import StepReport
 
 
 class VerletIntegrator:
-    """Work buffers and neighbor list for a velocity-Verlet run.
+    """Mass matrix and neighbor list for a velocity-Verlet run.
 
     The list keeps the contacts of the last configuration it saw, and
     the integrator the -grad V of that set, so the first kick of a step
@@ -30,13 +31,12 @@ class VerletIntegrator:
 
     def __init__(self, system: ParticleSystem, params: ContactParams,
                  h: float):
-        if h <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < h < np.inf:
+            raise ValueError("time step must be finite and positive")
         self.system = system
         self.params = params
         self.h = h
         self.mass = assemble_mass_matrix(system)
-        self.work = system.copy()
         self.nlist = NeighborList.build(system)
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
         self._grad_set = None    # the contact set _neg_grad was evaluated on
@@ -44,21 +44,23 @@ class VerletIntegrator:
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
         """Contacts with the centres at q; an equal q reuses the last set."""
-        return self.nlist.contacts_at(self.work, q)
+        return self.nlist.contacts_at(q)
 
     def _force(self, q: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         contacts = self.contacts_at(q)
         if contacts is not self._grad_set:
-            self._neg_grad = -_forces.potential_gradient(self.work, contacts,
+            self._neg_grad = -_forces.potential_gradient(self.system, contacts,
                                                          self.params)
             self._grad_set = contacts
         f = self._neg_grad
         if self._damped:
-            f = f + _forces.nonconservative_force(self.work, contacts,
+            f = f + _forces.nonconservative_force(self.system, contacts,
                                                   velocity, self.params)
         return f
 
-    def step(self, state: GeneralizedState) -> GeneralizedState:
+    def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
+        """One kick-drift-kick step; the report has no Newton or CG work,
+        and n_contacts is the size of the second kick's contact set."""
         check_finite(state.q, state.p,
                      f"input of Verlet step {state.k} (t = {state.t:g})")
         h = self.h
@@ -69,10 +71,5 @@ class VerletIntegrator:
         p_new = self.mass.matvec(v_new)
         # a NaN in the orientations never reaches the neighbour-list guard
         check_finite(q_new, p_new, f"Verlet step {state.k} (t = {state.t:g}) result")
-        return GeneralizedState(q=q_new, p=p_new, t=state.t + h, k=state.k + 1)
-
-
-def verlet_step(state: GeneralizedState, h: float, system: ParticleSystem,
-                params: ContactParams) -> GeneralizedState:
-    """One velocity-Verlet step. For long runs reuse a VerletIntegrator."""
-    return VerletIntegrator(system, params, h).step(state)
+        return (GeneralizedState(q=q_new, p=p_new, t=state.t + h, k=state.k + 1),
+                StepReport(0, 0.0, 0, len(self._grad_set)))

@@ -72,7 +72,6 @@ NEWTON_TOL = 1e-10       # last correction, in units of the smallest diameter
 NEWTON_MAX = 50          # corrections per step
 N_FREEZE = 10            # corrections after which the geometry is frozen
 CG_TOL = 1e-10           # relative residual of each linear solve
-CG_MAX_ITER = None       # None: cg_solve's 10 * dim
 STATIC_TOL = 1e-8        # quasi-static gradient, in units of k_n d
 STATIC_MAX_ITER = 100    # quasi-static Newton steps
 
@@ -86,20 +85,22 @@ class VIConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("time step must be finite and positive")
         if self.alpha not in (0.0, 0.5):
             raise ValueError("alpha must be 0 or 1/2")
 
 
 @dataclass
 class StepReport:
-    """What one implicit step cost.
+    """What one step of either stepper cost.
 
     newton_iters counts correction solves; a step accepted at the
-    initial guess reports zero. On a frozen contact set one correction
-    usually suffices: the residual then bounds the next correction (see
-    the module docstring), so no second solve is made to measure it.
+    initial guess reports zero, and so does every Verlet step. On a
+    frozen contact set one correction usually suffices: the residual
+    then bounds the next correction (see the module docstring), so no
+    second solve is made to measure it. n_contacts is the size of the
+    set the step's last force evaluation used.
     """
 
     newton_iters: int
@@ -116,7 +117,7 @@ class QuasiStaticReport:
 
 
 class VIIntegrator:
-    """Owns the work buffers, mass matrix and neighbor list for a run.
+    """Owns the mass matrix and neighbor list for a run.
 
     The list keeps the contacts of the last configuration it detected, so
     a step that starts where the caller last asked for contacts
@@ -129,7 +130,6 @@ class VIIntegrator:
         self.params = params
         self.cfg = cfg
         self.mass = assemble_mass_matrix(system)
-        self.work = system.copy()
         self.nlist = NeighborList.build(system)
         self.d_min = float(np.min(system.d))
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
@@ -141,14 +141,14 @@ class VIIntegrator:
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
         """Contacts with the centres at q; an equal q reuses the last set."""
-        return self.nlist.contacts_at(self.work, q)
+        return self.nlist.contacts_at(q)
 
     def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
         """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
         if not (self._damped or self.cfg.alpha == 0.0):
             return None, np.zeros_like(q_k)  # undamped midpoint rule never reads them
         s_k = self.contacts_at(q_k)
-        q_plus = (_forces.nonconservative_force(self.work, s_k, vel_k, self.params)
+        q_plus = (_forces.nonconservative_force(self.system, s_k, vel_k, self.params)
                   if self._damped else np.zeros_like(q_k))
         return s_k, q_plus
 
@@ -157,10 +157,10 @@ class VIIntegrator:
         with q_minus = Q(s_mid, delta / h) when the caller already has it.
         Returns (r, grad V(q_mid), Q(s_mid, delta / h), M delta)."""
         h, alpha = self.cfg.h, self.cfg.alpha
-        grad_mid = _forces.potential_gradient(self.work, s_mid, self.params)
+        grad_mid = _forces.potential_gradient(self.system, s_mid, self.params)
         if q_minus is None:
-            q_minus = (_forces.nonconservative_force(self.work, s_mid, delta / h,
-                                                     self.params)
+            q_minus = (_forces.nonconservative_force(self.system, s_mid,
+                                                     delta / h, self.params)
                        if self._damped else np.zeros_like(delta))
         m_delta = self.mass.matvec(delta)
         r = (p_k - m_delta / h
@@ -214,8 +214,7 @@ class VIIntegrator:
             if s_mid is not k_set:
                 a_op = self._neg_stiffness(s_mid)
                 k_set = s_mid
-            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL,
-                                          max_iter=CG_MAX_ITER, jacobi=True)
+            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL, jacobi=True)
             delta = delta + d_delta
             last_dq = float(np.max(np.abs(d_delta), initial=0.0))
             cg_total += it
@@ -234,7 +233,7 @@ class VIIntegrator:
         """-K = M/h - (1/2) dQ/dv, the SPD operator handed to CG: M/h on
         the diagonal, -1/2 times the damping rows."""
         if self._damped and len(s_mid):
-            return _forces.dQ_dv(self.work, s_mid, self.params).affine(
+            return _forces.dQ_dv(self.system, s_mid, self.params).affine(
                 -0.5, self._m_over_h)
         return BlockSparseMatrix(self.system.n, self._m_over_h)
 
@@ -304,14 +303,8 @@ def momentum_update(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
                     params: ContactParams) -> np.ndarray:
     """Explicit momentum update for an accepted position step."""
     integ, _, delta, s_mid = _at_midpoint(q_k, q_k1, cfg, system, params)
-    grad = _forces.potential_gradient(integ.work, s_mid, params)
+    grad = _forces.potential_gradient(system, s_mid, params)
     return integ.mass.matvec(delta) / cfg.h - cfg.h * cfg.alpha * grad
-
-
-def vi_step(state: GeneralizedState, cfg: VIConfig, system: ParticleSystem,
-            params: ContactParams) -> tuple[GeneralizedState, StepReport]:
-    """One full implicit step. For long runs reuse a VIIntegrator."""
-    return VIIntegrator(system, params, cfg).step(state)
 
 
 def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
@@ -322,28 +315,29 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
     reports trouble, and steps are clamped and backtracked so the energy
     never increases. Returns (q_equilibrium, QuasiStaticReport).
     """
-    work = system.copy()
+    work = system.copy()    # holds the centres of each energy evaluation
     nlist = NeighborList.build(system)
     q = np.asarray(q_init, dtype=float).ravel().copy()
     d_min = float(np.min(system.d))
     tol = STATIC_TOL * params.k_n * d_min
     max_step = 0.1 * d_min
 
-    contacts = nlist.contacts_at(work, q)
+    contacts = nlist.contacts_at(q)
+    work.pos[:] = q.reshape(-1, BLOCK)[:, :3]
+    energy = _forces.potential_energy(work, contacts, params)
     for it in range(STATIC_MAX_ITER + 1):
-        grad = _forces.potential_gradient(work, contacts, params)
+        grad = _forces.potential_gradient(system, contacts, params)
         g_norm = float(np.max(np.abs(grad), initial=0.0))
         if g_norm < tol:
-            energy = _forces.potential_energy(work, contacts, params)
             return q, QuasiStaticReport(it, g_norm, energy)
         if it == STATIC_MAX_ITER:
             break
-        hess = _forces.potential_hessian(work, contacts, params)
+        hess = _forces.potential_hessian(system, contacts, params)
         lam = 0.0
         for _ in range(8):
             try:
                 op = hess.affine(1.0, lam)
-                dq, _, _ = cg_solve(op, -grad, tol=CG_TOL, max_iter=CG_MAX_ITER)
+                dq, _, _ = cg_solve(op, -grad, tol=CG_TOL)
                 break
             except (IndefiniteOperatorError, SolverFailureError):
                 lam = max(10.0 * lam, 1e-8 * params.k_n)
@@ -353,14 +347,13 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
         step_inf = float(np.max(np.abs(dq), initial=0.0))
         if step_inf > max_step:
             dq *= max_step / step_inf
-        v_old = _forces.potential_energy(work, contacts, params)
         for _ in range(40):
             trial = q + dq
-            contacts_trial = nlist.contacts_at(work, trial)
+            contacts_trial = nlist.contacts_at(trial)
+            work.pos[:] = trial.reshape(-1, BLOCK)[:, :3]
             v_new = _forces.potential_energy(work, contacts_trial, params)
-            if v_new <= v_old + 1e-12 * (abs(v_old) + 1.0):
-                q = trial
-                contacts = contacts_trial
+            if v_new <= energy + 1e-12 * (abs(energy) + 1.0):
+                q, contacts, energy = trial, contacts_trial, v_new
                 break
             dq *= 0.5
         else:

@@ -37,7 +37,7 @@ def run_impact_pair(gamma, v, h, alpha, t_end, verlet=False):
     rows = []
     for _ in range(int(round(t_end / h))):
         if verlet:
-            state = stepper.step(state)
+            state, _ = stepper.step(state)
             ncont = len(detect_contacts_brute_force(unpack_state(state, system)))
         else:
             state, report = stepper.step(state)
@@ -104,10 +104,7 @@ def _walls_energy_run(frac, verlet=False, n_collisions=250):
     energies = []
     collisions, in_contact = 0, False
     while collisions < n_collisions:
-        if verlet:
-            state = stepper.step(state)
-        else:
-            state, _ = stepper.step(state)
+        state, _ = stepper.step(state)
         work = unpack_state(state, system)
         contacts = stepper.contacts_at(state.q)
         energies.append(total_energy(work, contacts, params))
@@ -181,10 +178,7 @@ def test_criterion_5_momentum_conservation(gamma, verlet):
     scale = max(1.0, float(np.max(np.abs(state.p))))
     worst = 0.0
     for _ in range(int(round((1.0 + 2 * T_C) / h))):
-        if verlet:
-            state = stepper.step(state)
-        else:
-            state, _ = stepper.step(state)
+        state, _ = stepper.step(state)
         p_tot = state.p.reshape(-1, 6)[:, :3].sum(axis=0)
         worst = max(worst, float(np.max(np.abs(p_tot - p_prev))))
         p_prev = p_tot

@@ -40,6 +40,8 @@ def test_invalid_config_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("doc, message", [
     ({"scenario": "box", "box_size": 6.5}, "integer number of diameters"),
     ({"scenario": "box", "box_size": 2, "n_particles": 1000}, "cannot place 1000"),
+    ({"scenario": "impact", "h_fraction": float("inf")}, "'h_fraction' must be finite"),
+    ({"scenario": "box", "duration": float("inf")}, "'duration' must be finite"),
 ])
 def test_scenario_builder_rejection_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

@@ -346,3 +346,9 @@ class TestDetectContacts:
         assert got.signature() == want.signature() == (0, (0,), (1,))
         npt.assert_allclose(got.delta, want.delta, rtol=0, atol=ROUNDOFF)
         npt.assert_allclose(got.delta, [0.04 * skin], rtol=0, atol=ROUNDOFF)
+
+
+@pytest.mark.parametrize("skin", [0.0, -0.1])
+def test_non_positive_skin_rejected(skin):
+    with pytest.raises(ValueError, match="skin"):
+        NeighborList.build(two_particles(1.2), skin=skin)

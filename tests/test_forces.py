@@ -292,3 +292,18 @@ class TestRowOperators:
 
 def test_contact_time_value():
     assert contact_time(195000.0) == pytest.approx(np.pi / np.sqrt(390000.0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k_n": 0.0}, "normal stiffness"),
+    ({"k_n": np.nan}, "normal stiffness"),
+    ({"k_n": np.inf}, "normal stiffness"),
+    ({"k_n": 1.0, "gamma_n": -5.0}, "damping"),
+    ({"k_n": 1.0, "gamma_n": np.nan}, "damping"),
+    ({"k_n": 1.0, "gamma_n": np.inf}, "damping"),
+    ({"k_n": 1.0, "gamma_t": -1.0}, "damping"),
+], ids=["k_n 0", "k_n nan", "k_n inf", "gamma_n -5", "gamma_n nan",
+        "gamma_n inf", "gamma_t -1"])
+def test_contact_params_guard(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ContactParams(**kwargs)

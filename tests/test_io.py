@@ -49,6 +49,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trajectory_every"):
             parse_config('{"scenario": "impact", "trajectory_every": 0}')
 
+    @pytest.mark.parametrize("key, value", [
+        ("h_fraction", "Infinity"), ("duration", "Infinity"),
+        ("box_size", "Infinity"), ("gamma", "Infinity"), ("gap", "Infinity"),
+        ("gamma", "NaN"), ("dy", "-Infinity")])
+    def test_non_finite_value_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            parse_config(f'{{"scenario": "walls", "{key}": {value}}}')
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_integer_key_rejects_other_types(self, value):
+        with pytest.raises(ConfigError, match="'n_particles' must be an integer"):
+            parse_config(f'{{"scenario": "box", "n_particles": {value}}}')
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse_config('["scenario", "impact"]')
+
     def test_round_trip_identity(self):
         for doc in ('{"scenario": "impact", "dy": 0.1, "gamma": 5.0}',
                     '{"scenario": "walls", "gap": 1.05}',

@@ -151,3 +151,12 @@ class TestCG:
         b = rng.normal(size=18)
         x, _, _ = cg_solve(a, b, tol=1e-12, jacobi=True)
         npt.assert_allclose(a.matvec(x), b, atol=1e-10 * np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda op: op.matvec(np.ones(5)), "operand has length 5"),
+    (lambda op: cg_solve(op, np.ones(5)), "right-hand side"),
+], ids=["operand", "right-hand side"])
+def test_length_guard(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(BlockSparseMatrix(1, 1.0))

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vigrain import (GeneralizedState, ParticleSystem, assemble_mass_matrix,
-                     pack_state, sphere_inertia, unpack_state)
+from vigrain import (Bond, GeneralizedState, MassMatrix, ParticleSystem, Wall,
+                     assemble_mass_matrix, pack_state, sphere_inertia,
+                     unpack_state)
 
 from conftest import random_system
 
@@ -105,3 +106,42 @@ def test_bond_references_validated():
 def test_unequal_diameters_rejected():
     with pytest.raises(ValueError, match="equal spheres"):
         ParticleSystem([[0, 0, 0], [2, 0, 0]], d=[1.0, 1.5])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Bond(0, 1, 0.0), "bond stiffness"),
+    (lambda: Bond(0, 1, np.nan), "bond stiffness"),
+    (lambda: Bond(0, 1, np.inf), "bond stiffness"),
+    (lambda: Wall([0.0, 0.0], [0.0, 0.0, 1.0]), "3-vectors"),
+    (lambda: Wall([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]), "finite"),
+    (lambda: Wall([np.inf, 0.0, 0.0], [0.0, 0.0, 1.0]), "finite"),
+    (lambda: ParticleSystem(np.empty((0, 3))), "at least one particle"),
+    (lambda: ParticleSystem([[0, 0, 0]], m=np.nan), "masses"),
+    (lambda: ParticleSystem([[0, 0, 0]], d=0.0), "diameters"),
+    (lambda: ParticleSystem([[0, 0, 0]], d=np.inf), "diameters"),
+    (lambda: ParticleSystem([[0, 0, 0]], gravity=np.nan), "gravity"),
+    (lambda: ParticleSystem([[0, 0, 0], [2, 0, 0]], vel=np.zeros((3, 3))),
+     r"expected \(2, 3\) field"),
+    (lambda: GeneralizedState(np.zeros(6), np.zeros(12)), "same length"),
+    (lambda: GeneralizedState(np.zeros(5), np.zeros(5)), "multiple of 6"),
+    (lambda: MassMatrix([1.0, 0.0]), "positive definite"),
+    (lambda: MassMatrix(np.ones(6)).matvec(np.ones(5)), "mass matrix product"),
+    (lambda: MassMatrix(np.ones(6)).solve(np.ones(5)), "mass matrix solve"),
+], ids=["bond k 0", "bond k nan", "bond k inf", "wall 2-vector",
+        "wall nan normal", "wall inf point", "no particles", "mass nan",
+        "diameter 0", "diameter inf", "gravity nan", "field shape",
+        "state lengths", "state size", "mass not positive", "matvec length",
+        "solve length"])
+def test_guard_rejects(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_bond_ends_are_ordered():
+    b = Bond(3, 1, 1.0)
+    assert (b.i, b.j) == (1, 3)
+
+
+def test_one_row_field_is_broadcast():
+    s = ParticleSystem([[0, 0, 0], [2, 0, 0]], vel=[[1.0, 2.0, 3.0]])
+    npt.assert_array_equal(s.vel, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -135,3 +137,16 @@ def test_parameter_conventions():
     assert params.k_n == pytest.approx(195000.0)
     assert params.gamma_t == pytest.approx(params.gamma_n / 2)
     assert params.gamma_n == pytest.approx(30.0 * 0.5)
+
+
+@pytest.mark.parametrize("box_size", [1000.0, 1e30])
+def test_box_builder_memory_follows_n_not_box_size(box_size):
+    # only the placed sites are generated, not the full layers
+    tracemalloc.start()
+    try:
+        system, _ = build_box(8, box_size, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    npt.assert_array_equal(system.pos[:, :2], [[0.5 + i, 0.5] for i in range(8)])

@@ -4,10 +4,9 @@ import pytest
 
 from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
                      ParticleSystem, VIConfig, VIIntegrator, VerletIntegrator,
-                     build_impact, build_walls, contact, detect_contacts,
-                     forces, pack_state, total_energy, unpack_state,
-                     verlet_step)
-from vigrain.contact import NeighborList
+                     assemble_mass_matrix, build_impact, build_walls, contact,
+                     detect_contacts, detect_contacts_brute_force, forces,
+                     pack_state, total_energy, unpack_state)
 from vigrain.forces import contact_time
 
 from conftest import count_calls
@@ -22,19 +21,48 @@ def test_free_flight_exact():
     state = pack_state(s)
     integ = VerletIntegrator(s, UNDAMPED, h=0.01)
     for _ in range(50):
-        state = integ.step(state)
+        state, _ = integ.step(state)
     npt.assert_allclose(state.q[:3], np.array([0.4, 0.1, -0.2]) * state.t,
                         atol=1e-13)
 
 
 def test_single_step_function_matches_integrator():
-    system, _ = build_impact(0.0, 30.0, 1.0)
-    params = ContactParams.from_damping_ratio(30.0, 1.0)
+    # one step of a fresh integrator is kick-drift-kick on -grad V + Q,
+    # written out here from the force functions and brute-force contacts
+    system, params = touching_pair()
+    h = 0.001
     state = pack_state(system)
-    a = verlet_step(state, 0.001, system, params)
-    b = VerletIntegrator(system, params, 0.001).step(state)
-    npt.assert_array_equal(a.q, b.q)
-    npt.assert_array_equal(a.p, b.p)
+    mass = assemble_mass_matrix(system)
+
+    def force(q, v):
+        work = unpack_state(GeneralizedState(q=q, p=state.p), system)
+        contacts = detect_contacts_brute_force(work)
+        return (-forces.potential_gradient(work, contacts, params)
+                + forces.nonconservative_force(work, contacts, v, params))
+
+    v = mass.solve(state.p)
+    v_half = v + 0.5 * h * mass.solve(force(state.q, v))
+    q_new = state.q + h * v_half
+    v_new = v_half + 0.5 * h * mass.solve(force(q_new, v_half))
+    got, _ = VerletIntegrator(system, params, h).step(state)
+    npt.assert_array_equal(got.q, q_new)
+    npt.assert_array_equal(got.p, mass.matvec(v_new))
+
+
+def test_step_report():
+    # no Newton or CG work, and the contacts of the second kick, which
+    # are those at the new state
+    system, params = touching_pair()
+    integ = VerletIntegrator(system, params, T_C / 40)
+    state = pack_state(system)
+    counts = []
+    for _ in range(60):
+        state, report = integ.step(state)
+        assert (report.newton_iters, report.cg_iters) == (0, 0)
+        want = len(detect_contacts_brute_force(unpack_state(state, system)))
+        assert report.n_contacts == want
+        counts.append(want)
+    assert 0 in counts and 1 in counts   # the pair touches, then separates
 
 
 def test_non_finite_momentum_fails_at_once():
@@ -96,11 +124,11 @@ def touching_pair():
 def test_steady_state_step_detects_once(monkeypatch):
     system, params = touching_pair()
     integ = VerletIntegrator(system, params, T_C / 40)
-    state = integ.step(pack_state(system))
+    state, _ = integ.step(pack_state(system))
     detect = count_calls(monkeypatch, contact, "_detect_unchecked")
     gradient = count_calls(monkeypatch, forces, "potential_gradient")
     damping = count_calls(monkeypatch, forces, "nonconservative_force")
-    state = integ.step(state)
+    state, _ = integ.step(state)
     # the first kick reuses the last kick's contacts and gradient; only
     # the damping is evaluated at both velocities
     assert (len(detect), len(gradient), len(damping)) == (1, 1, 2)
@@ -112,7 +140,7 @@ def test_steady_state_step_detects_once(monkeypatch):
 def test_changed_q_is_detected_again(monkeypatch, change):
     system, params = touching_pair()
     integ = VerletIntegrator(system, params, T_C / 40)
-    state = integ.step(pack_state(system))   # contacts at state.q are cached
+    state, _ = integ.step(pack_state(system))   # contacts at state.q are cached
     if change == "in place":
         state.q[0] -= 1e-3
     else:
@@ -120,9 +148,9 @@ def test_changed_q_is_detected_again(monkeypatch, change):
         q[0] = np.nextafter(q[0], np.inf)
         state = GeneralizedState(q=q, p=state.p, t=state.t, k=state.k)
     detect = count_calls(monkeypatch, contact, "_detect_unchecked")
-    got = integ.step(state)
+    got, _ = integ.step(state)
     assert len(detect) == 2
-    want = VerletIntegrator(system, params, T_C / 40).step(state)
+    want, _ = VerletIntegrator(system, params, T_C / 40).step(state)
     npt.assert_array_equal(got.q, want.q)
     npt.assert_array_equal(got.p, want.p)
 
@@ -136,7 +164,7 @@ def test_undamped_energy_bounded_many_steps():
     state = pack_state(system)
     energies = []
     for step in range(100_000):
-        state = integ.step(state)
+        state, _ = integ.step(state)
         if step % 50 == 0:
             work = unpack_state(state, system)
             if not integ.nlist.is_valid(work.pos):
@@ -167,8 +195,14 @@ def test_vi_and_verlet_converge_to_each_other():
         n = int(round((1.0 + 2.0 * T_C) / h))
         for _ in range(n):
             state_vi, _ = vi.step(state_vi)
-            state_vv = vv.step(state_vv)
+            state_vv, _ = vv.step(state_vv)
         diffs.append(abs(state_vi.p[0] - state_vv.p[0]))
     assert diffs[2] < diffs[0]
     slope = np.polyfit(np.log([T_C / 40, T_C / 80, T_C / 160]), np.log(diffs), 1)[0]
     assert slope > 0.8
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+def test_time_step_guard(h):
+    with pytest.raises(ValueError, match="time step"):
+        VerletIntegrator(ParticleSystem([[0, 0, 0]]), UNDAMPED, h)

@@ -4,13 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
-                     ParticleSystem, StepFailureError, VIConfig, VIIntegrator,
+from vigrain import (ContactParams, GeneralizedState, IndefiniteOperatorError,
+                     NonFiniteStateError, ParticleSystem, SolverFailureError,
+                     StepFailureError, VIConfig, VIIntegrator,
                      Wall, assemble_mass_matrix, build_box, build_impact,
                      contact, discrete_lagrangian, implicit_position_solve,
                      linsolve, momentum_update, pack_state, quasi_static_solve,
-                     residual, run_simulation, stiffness, unpack_state, vi,
-                     vi_step)
+                     residual, run_simulation, stiffness, unpack_state, vi)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
 from vigrain import forces
@@ -566,3 +566,81 @@ class TestQuasiStatic:
         moved = np.max(np.abs(q_eq.reshape(-1, 6)[:, :3]
                               - state.q.reshape(-1, 6)[:, :3]))
         assert moved < 1e-6
+
+    def floor_particle(self, z):
+        s = ParticleSystem([[0, 0, z]], walls=[self.floor], gravity=1.0)
+        return s, pack_state(s).q
+
+    def energy_heights(self, monkeypatch):
+        """Log the height each potential energy is evaluated at."""
+        heights, energy = [], forces.potential_energy
+
+        def spy(system, contacts, params):
+            heights.append(float(system.pos[0, 2]))
+            return energy(system, contacts, params)
+
+        monkeypatch.setattr(forces, "potential_energy", spy)
+        return heights
+
+    def test_reported_energy_is_the_potential_at_the_result(self):
+        s, q0 = self.floor_particle(0.3)   # 0.2 d deep
+        q_eq, report = quasi_static_solve(q0, s, UNDAMPED)
+        at = unpack_state(GeneralizedState(q_eq, np.zeros_like(q_eq)), s)
+        want = forces.potential_energy(at, detect_contacts_brute_force(at), UNDAMPED)
+        assert report.newton_iters > 1 and report.energy == want
+
+    def test_deep_start_is_clamped_then_capped(self, monkeypatch):
+        # the Newton step from 0.2 d deep is 0.2 d; it is cut to 0.1 d, so
+        # one pass cannot reach equilibrium and the iteration cap fails
+        monkeypatch.setattr(vi, "STATIC_MAX_ITER", 1)
+        heights = self.energy_heights(monkeypatch)
+        s, q0 = self.floor_particle(0.3)
+        with pytest.raises(SolverFailureError,
+                           match="did not reach tolerance") as info:
+            quasi_static_solve(q0, s, UNDAMPED)
+        assert info.value.iterations == 1
+        assert heights == pytest.approx([0.3, 0.4], rel=1e-12)
+
+    def test_singular_hessian_is_regularised_and_overshoot_halved(self, monkeypatch):
+        # 0.05 d above the floor there is no contact, so the Hessian is
+        # zero and CG is retried on a regularised one; its step is clamped
+        # to 0.1 d, lands 0.05 d deep, raises the energy and is halved
+        heights = self.energy_heights(monkeypatch)
+        solves = count_calls(monkeypatch, vi, "cg_solve")
+        s, q0 = self.floor_particle(0.55)
+        q_eq, report = quasi_static_solve(q0, s, UNDAMPED)
+        assert heights[:3] == pytest.approx([0.55, 0.45, 0.5], rel=1e-12)
+        assert len(solves) > report.newton_iters
+        assert 0.5 - q_eq[2] == pytest.approx(1.0 / K_N, rel=1e-10)
+
+    def test_ascent_direction_stalls_the_line_search(self, monkeypatch):
+        # a solve that returns the gradient itself raises V at every trial
+        monkeypatch.setattr(vi, "cg_solve", lambda op, b, **kw: (-b, 0, b))
+        s, q0 = self.floor_particle(0.3)
+        with pytest.raises(SolverFailureError, match="line search stalled"):
+            quasi_static_solve(q0, s, UNDAMPED)
+
+    def test_hessian_solve_fails_after_every_regularisation(self, monkeypatch):
+        shifts = []
+
+        def indefinite(op, b, **kw):
+            shifts.append(op.shift)
+            raise IndefiniteOperatorError("non-positive curvature")
+
+        monkeypatch.setattr(vi, "cg_solve", indefinite)
+        s, q0 = self.floor_particle(0.3)
+        with pytest.raises(SolverFailureError, match="Hessian solve failed"):
+            quasi_static_solve(q0, s, UNDAMPED)
+        # unregularised, then 1e-8 k_n growing tenfold: eight tries
+        npt.assert_allclose(shifts, [0.0] + [1e-8 * K_N * 10 ** i for i in range(7)],
+                            rtol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"h": 0.0}, "time step"), ({"h": -1e-3}, "time step"),
+    ({"h": np.nan}, "time step"), ({"h": np.inf}, "time step"),
+    ({"h": 1e-3, "alpha": 0.3}, "alpha")],
+    ids=["h 0", "h negative", "h nan", "h inf", "alpha 0.3"])
+def test_config_guard(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        VIConfig(**kwargs)
