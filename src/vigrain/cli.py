@@ -113,7 +113,10 @@ def _cmd_convergence(args) -> int:
             system, spec = build_impact(0.0, gamma, v)
             spec.alpha = alpha
             spec.h_fraction = float(frac)
-            spec.duration = round((t_a + t_c / 2.0) / spec.h) * spec.h
+            n_steps = round((t_a + t_c / 2.0) / spec.h)
+            spec.duration = n_steps * spec.h
+            # only the final state is read: sample no frame on the way
+            spec.trajectory_every = spec.diagnostics_every = n_steps + 1
             state = run_simulation(system, spec).final_state
             v_sim = state.p[0] / system.m[0]
             v_ref = contact_phase_velocity(state.t - t_a, oracle)

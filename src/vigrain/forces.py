@@ -23,8 +23,8 @@ Keyes, J. Comput. Phys. 193, 357 (2004)). Q is linear in the velocity,
 so dQ/dv x = Q(x) and the damping force and its Jacobian share one row
 kernel. On a frozen contact set the Hessian is a fixed linear map,
 k (n n^T - (delta / |r_ij|)(I - n n^T)) per row. Both return a
-linsolve.BlockSparseMatrix that also holds their scalar diagonal, the
-Jacobi preconditioner; each contact set builds its scatter indices once.
+linsolve.BlockSparseMatrix that holds only the row action, not even a
+diagonal; each contact set builds its scatter indices once.
 """
 from __future__ import annotations
 
@@ -155,22 +155,12 @@ def dQ_dv(system: ParticleSystem, contacts: ContactSet,
 
     Q is linear in the velocity, so dQ/dv x = Q(x) exactly, and the
     operator applies the damping rows at x. Symmetric negative
-    semidefinite. Each row puts the same diagonal on both ends:
-    -(gamma_t + (gamma_n - gamma_t) n_a^2) m_eff on the translations and
-    (gamma_t m_eff / 4)(arm_a^2 - |arm|^2) on the rotations.
+    semidefinite.
     """
-    gamma_n, gamma_t = params.gamma_n, params.gamma_t
-    m_eff, arm = contacts.m_eff, contacts.arm
-    a2 = np.einsum("ca,ca->c", arm, arm)
-    d_trans = -(((gamma_n - gamma_t) * m_eff)[:, None] * contacts.normal ** 2
-                + (gamma_t * m_eff)[:, None])
-    d_rot = (0.25 * (gamma_t * m_eff))[:, None] * (arm * arm - a2[:, None])
-    diag = (_per_body(contacts, d_trans, 0, opposite=False)
-            + _per_body(contacts, d_rot, 3, opposite=False))
     return BlockSparseMatrix(
         contacts.n_bodies, 0.0,
         partial(_damping, contacts, *_dashpots(contacts, params)),
-        diag, contacts.i[~contacts.wall])
+        contacts.i[~contacts.wall])
 
 
 def _spring(contacts: ContactSet, c_nn: np.ndarray, c_eye: np.ndarray,
@@ -198,8 +188,6 @@ def potential_hessian(system: ParticleSystem, contacts: ContactSet,
     dist = np.linalg.norm(contacts.arm, axis=1)
     lateral = np.where(contacts.wall, 0.0, contacts.delta / dist)
     c_nn, c_eye = k * (1.0 + lateral), k * lateral
-    d = c_nn[:, None] * contacts.normal ** 2 - c_eye[:, None]
     return BlockSparseMatrix(contacts.n_bodies, 0.0,
                              partial(_spring, contacts, c_nn, c_eye),
-                             _per_body(contacts, d, 0, opposite=False),
                              contacts.i[~contacts.wall])

@@ -3,8 +3,8 @@
 The operators CG sees are diag(shift) + scale A, where A is the
 action of a set of contact rows: each row couples at most two bodies,
 so A x is a gather from both ends, a per-row kernel and a scatter
-back, and nothing is assembled. The operator's 6N scalar diagonal is
-kept beside the action, because it is the Jacobi preconditioner.
+back, and nothing is assembled, not even the diagonal: a caller that
+preconditions CG hands it a diagonal it already knows.
 """
 from __future__ import annotations
 
@@ -21,20 +21,18 @@ BLOCK = 6
 class BlockSparseMatrix:
     """Symmetric operator diag(shift) + scale A over n bodies with 6 DOF each.
 
-    rows(x) applies A and rows_diag is A's diagonal; without rows the
-    operator is diagonal. pair_i holds the i end of every particle-
-    particle or bond row of A (wall rows excluded), for work accounting.
+    rows(x) applies A; without rows the operator is diagonal. pair_i
+    holds the i end of every particle-particle or bond row of A (wall
+    rows excluded), for work accounting.
     """
 
-    def __init__(self, n_bodies: int, shift, rows=None, rows_diag=0.0,
+    def __init__(self, n_bodies: int, shift, rows=None,
                  pair_i: np.ndarray | None = None):
         self.n_bodies = int(n_bodies)
         self.shift = shift
         self.scale = 1.0
         self.rows = rows
-        self.diag = np.zeros(self.dim) + (shift + rows_diag)
         self.pair_i = np.empty(0, dtype=np.int64) if pair_i is None else pair_i
-        self._inv_diag = None
 
     @property
     def dim(self) -> int:
@@ -45,8 +43,6 @@ class BlockSparseMatrix:
         op = copy.copy(self)
         op.shift = c * self.shift + shift
         op.scale = c * self.scale
-        op.diag = c * self.diag + shift
-        op._inv_diag = None
         return op
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -58,31 +54,20 @@ class BlockSparseMatrix:
             y += self.scale * self.rows(x)
         return y
 
-    def inverse_diagonal(self) -> np.ndarray:
-        """1 / the scalar diagonal, length 6 N; computed once per operator.
-
-        Raises IndefiniteOperatorError when a diagonal entry is not positive.
-        """
-        if self._inv_diag is None:
-            if np.any(self.diag <= 0.0):
-                raise IndefiniteOperatorError("operator diagonal is not positive")
-            self._inv_diag = 1.0 / self.diag
-        return self._inv_diag
-
 
 def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None,
-             jacobi: bool = False, callback=None
+             precond: np.ndarray | None = None, callback=None
              ) -> tuple[np.ndarray, int, np.ndarray]:
     """Conjugate gradients for a symmetric positive definite operator.
 
     Parameters
     ----------
-    a : operator with .matvec and .dim (and .inverse_diagonal() when jacobi=True)
+    a : operator with .matvec and .dim
     b : right-hand side
     tol : relative residual target, ||A x - b|| <= tol ||b||
     max_iter : iteration cap, default 10 * dim
-    jacobi : precondition with the operator diagonal
+    precond : the elementwise inverse of a positive diagonal preconditioner
     callback : optional, called with the current iterate after each update
 
     Returns (x, iterations, r), where r = b - A x is CG's own recurrence
@@ -102,10 +87,9 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
                                   residual=float(bnorm), iterations=0)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, np.zeros_like(b)
-    inv_diag = a.inverse_diagonal() if jacobi else None
     x = np.zeros_like(b)
     r = b.copy()
-    z = r * inv_diag if inv_diag is not None else r
+    z = r * precond if precond is not None else r
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
@@ -126,7 +110,7 @@ def cg_solve(a, b: np.ndarray, tol: float = 1e-10,
             callback(x.copy())
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it, r
-        z = r * inv_diag if inv_diag is not None else r
+        z = r * precond if precond is not None else r
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

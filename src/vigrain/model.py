@@ -123,9 +123,10 @@ class ParticleSystem:
         return self.pos.shape[0]
 
     def copy(self) -> "ParticleSystem":
-        out = ParticleSystem(self.pos.copy(), self.vel.copy(), self.omega.copy(),
-                             self.theta.copy(), self.d, self.m,
-                             self.walls, self.bonds, self.gravity)
+        """Own arrays and lists; the constructor's checks are not re-run."""
+        out = object.__new__(ParticleSystem)
+        out.__dict__ = {k: v.copy() if isinstance(v, (np.ndarray, list)) else v
+                        for k, v in self.__dict__.items()}
         return out
 
 

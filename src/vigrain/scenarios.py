@@ -130,7 +130,7 @@ def build_box(n_particles: int = 218, box_size: float = 6.0,
     """
     d = 1.0
     box = box_size * d
-    full_side = int(round(box / d))
+    full_side = int(round(box / d)) if np.isfinite(box) else 0
     if abs(full_side * d - box) > 1e-9 * d or full_side < 1:
         raise ValueError("box size must be an integer number of diameters")
 

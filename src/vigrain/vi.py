@@ -19,11 +19,12 @@ residual's gradient; the stored positions' difference is exact.
 The stiffness keeps only the dominant terms, K = -(1/h) M plus
 half the velocity Jacobian of Q; the converged solution is unchanged
 because acceptance is residual-based. -K = M/h - (1/2) dQ/dv is SPD
-with a positive diagonal (-dQ/dv is positive semidefinite), so CG
-always runs Jacobi-preconditioned. -K is never assembled: Q is linear
-in the velocity, so each CG product is -K x = M x / h - (1/2) Q(q_{k+a}, x)
-evaluated from the contact rows, and only the scalar diagonal of -K,
-the preconditioner, is computed beside it.
+(-dQ/dv is positive semidefinite) and dominated by its inertial part,
+so CG is preconditioned by (M/h)^-1, computed once per integrator
+(diagonal preconditioning; Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., SIAM 2003, sec. 10.2). -K is never assembled: Q is
+linear in the velocity, so each CG product is
+-K x = M x / h - (1/2) Q(q_{k+a}, x) evaluated from the contact rows.
 
 On a fixed contact set (alpha = 0, or any pass after N_FREEZE) r is
 affine in D and K is its exact Jacobian, so the residual after a
@@ -135,6 +136,7 @@ class VIIntegrator:
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
         self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
         self._m_over_h = (1.0 / cfg.h) * self.mass.diag
+        self._precond = 1.0 / self._m_over_h   # CG's, the same for every -K
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
 
     # -- contact evaluation ------------------------------------------------
@@ -214,7 +216,7 @@ class VIIntegrator:
             if s_mid is not k_set:
                 a_op = self._neg_stiffness(s_mid)
                 k_set = s_mid
-            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL, jacobi=True)
+            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL, precond=self._precond)
             delta = delta + d_delta
             last_dq = float(np.max(np.abs(d_delta), initial=0.0))
             cg_total += it

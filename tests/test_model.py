@@ -145,3 +145,23 @@ def test_bond_ends_are_ordered():
 def test_one_row_field_is_broadcast():
     s = ParticleSystem([[0, 0, 0], [2, 0, 0]], vel=[[1.0, 2.0, 3.0]])
     npt.assert_array_equal(s.vel, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+
+def test_copy_owns_its_arrays_and_lists():
+    s = random_system(4, walls=True, bonds=True, gravity=1.0)
+    s.theta[:] = 0.25
+    before = {k: (v.copy() if isinstance(v, (np.ndarray, list)) else v)
+              for k, v in vars(s).items()}
+    c = s.copy()
+    for name in ("pos", "vel", "omega", "theta", "d", "m", "inertia"):
+        npt.assert_array_equal(getattr(c, name), before[name])
+        getattr(c, name)[:] = -7.0
+    c.walls.append(c.walls[0])
+    c.bonds.clear()
+    c.gravity = 0.0
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            npt.assert_array_equal(getattr(s, name), value)
+        else:
+            assert getattr(s, name) == value
+    assert s.bonds and len(s.walls) == 1

@@ -129,6 +129,11 @@ class TestBox:
         with pytest.raises(ValueError):
             build_box(10_000_000, 6.0, seed=0)
 
+    @pytest.mark.parametrize("box_size", [np.inf, -np.inf, np.nan])
+    def test_non_finite_box_size_rejected(self, box_size):
+        with pytest.raises(ValueError, match="integer number of diameters"):
+            build_box(8, box_size)
+
 
 def test_parameter_conventions():
     # k d / (m g) = 195000, gamma_t = gamma_n / 2, no tangential spring

@@ -282,8 +282,9 @@ def forced_correction(q_k, p_k, q_next, cfg, system, params, r=None):
     if r is None:
         r = residual(q_k, q_next, p_k, cfg, system, params)
     neg_k = stiffness(q_k, q_next, cfg, system, params).affine(-1.0)
-    dq, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, jacobi=True)
-    bound = np.linalg.norm(r) * cfg.h / assemble_mass_matrix(system).diag.min()
+    mass = assemble_mass_matrix(system).diag
+    dq, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, precond=cfg.h / mass)
+    bound = np.linalg.norm(r) * cfg.h / mass.min()
     return float(np.max(np.abs(dq))), bound
 
 
@@ -471,17 +472,18 @@ class TestStepFailure:
 
 class TestSolverPath:
     def test_only_the_stepper_preconditions_cg(self, damped_params, monkeypatch):
-        jacobi = {"step": [], "static": []}
+        precond = {"step": [], "static": []}
         stage = "step"
 
         def spy(*args, **kwargs):
             bound = inspect.signature(linsolve.cg_solve).bind(*args, **kwargs)
-            jacobi[stage].append(bound.arguments.get("jacobi", False))
+            precond[stage].append(bound.arguments.get("precond"))
             return linsolve.cg_solve(*args, **kwargs)
 
         monkeypatch.setattr(vi, "cg_solve", spy)
         system, _ = build_impact(0.0, 30.0, 1.0)
-        integ = VIIntegrator(system, damped_params, VIConfig(h=T_C / 40))
+        cfg = VIConfig(h=T_C / 40)
+        integ = VIIntegrator(system, damped_params, cfg)
         state = pack_state(system)
         state.q[0] -= 0.499; state.q[6] += 0.499  # 8 steps before contact
         for _ in range(40):
@@ -490,8 +492,12 @@ class TestSolverPath:
         floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
         s = ParticleSystem([[0, 0, 0.45]], walls=[floor], gravity=1.0)
         quasi_static_solve(pack_state(s).q, s, UNDAMPED)
-        assert jacobi["step"] and all(jacobi["step"])
-        assert jacobi["static"] and not any(jacobi["static"])
+        # the stepper's is the inverse of -K's inertial part, M/h
+        inertia = assemble_mass_matrix(system).diag / cfg.h
+        assert precond["step"]
+        for p in precond["step"]:
+            npt.assert_allclose(p, 1.0 / inertia, rtol=1e-15)
+        assert precond["static"] and all(p is None for p in precond["static"])
 
 
 class TestConvergenceOrder:
