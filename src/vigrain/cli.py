@@ -30,6 +30,11 @@ def _write_outputs(result, out_dir: Path) -> None:
     write_diagnostics(result.diagnostics, out_dir / "diagnostics.csv")
 
 
+def _solver_totals(result) -> str:
+    return (f"{result.newton_iters} Newton corrections, "
+            f"{result.cg_iters} CG iterations")
+
+
 def _cmd_run(args) -> int:
     path = Path(args.config)
     if not path.exists():
@@ -38,7 +43,7 @@ def _cmd_run(args) -> int:
     config = parse_config(path.read_text())
     result = run_simulation(build_scenario(config.spec), config.spec)
     _write_outputs(result, Path(args.out))
-    print(f"{config.spec.name}: {result.steps} steps, "
+    print(f"{config.spec.name}: {result.steps} steps, {_solver_totals(result)}, "
           f"{len(result.frames)} frames -> {args.out}")
     return 0
 
@@ -65,7 +70,7 @@ def _cmd_scenario(args) -> int:
     result = run_simulation(build_scenario(spec), spec)
     _write_outputs(result, Path(args.out))
     print(f"{spec.name}: {result.steps} steps, h={spec.h:.6g}, "
-          f"{len(result.frames)} frames -> {args.out}")
+          f"{_solver_totals(result)}, {len(result.frames)} frames -> {args.out}")
     return 0
 
 

@@ -219,6 +219,7 @@ class ContactSet:
         self.m_eff, self.k = m_eff, k
         self.n_pp = n_pp
         self._scatter = {}
+        self._coupled = None
 
     @property
     def wall(self) -> np.ndarray:
@@ -255,10 +256,31 @@ class ContactSet:
         """Flat indices of columns col..col+2 of the i and j ends' 6-DOF
         blocks, ghosts included, for every row; built once per col."""
         if col not in self._scatter:
-            cols = col + np.arange(3)
-            self._scatter[col] = tuple((BLOCK * ends[:, None] + cols).ravel()
-                                       for ends in (self.i, self.j))
+            # column by column: a broadcast over a last axis of 3 is about
+            # twice as slow from a few hundred rows on
+            flat = np.empty((2, len(self), 3), dtype=np.int64)
+            np.multiply((self.i, self.j), BLOCK, out=flat[:, :, 0])
+            flat[:, :, 0] += col
+            np.add(flat[:, :, 0], 1, out=flat[:, :, 1])
+            np.add(flat[:, :, 0], 2, out=flat[:, :, 2])
+            self._scatter[col] = flat[0].ravel(), flat[1].ravel()
         return self._scatter[col]
+
+    def coupled(self) -> tuple[np.ndarray, "ContactSet"]:
+        """The 6-DOF indices of the bodies on some row, and the same rows
+        renumbered onto those bodies, with the touched walls as their
+        ghosts; built once. Ghost ids n + w follow every body, so
+        numbering the ids on a row in order puts the bodies first."""
+        if self._coupled is None:
+            on_row = np.zeros(self.n_bodies + self.n_ghosts, dtype=bool)
+            on_row[self.i] = on_row[self.j] = True
+            bodies = on_row[:self.n_bodies].nonzero()[0]
+            new_id = np.cumsum(on_row) - 1
+            rows = ContactSet(bodies.size, int(new_id[-1]) + 1 - bodies.size,
+                              new_id[self.i], new_id[self.j], self.delta,
+                              self.normal, self.arm, self.m_eff, self.k, self.n_pp)
+            self._coupled = (BLOCK * bodies[:, None] + np.arange(BLOCK)).ravel(), rows
+        return self._coupled
 
     def split_velocity(self, velocity: np.ndarray):
         """Relative velocity of every row at a 6N velocity vector.

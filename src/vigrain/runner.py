@@ -37,6 +37,8 @@ class RunResult:
     final_state: GeneralizedState | None = None
     collisions: int = 0
     steps: int = 0
+    newton_iters: int = 0   # summed over every step's report, not only samples
+    cg_iters: int = 0
 
 
 def _sample_frame(system: ParticleSystem, t: float) -> TrajectoryFrame:
@@ -50,9 +52,10 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
     Samples the trajectory and diagnostics at the cadences in the spec.
     A collision, for the wall experiments, is a maximal interval with
     any wall overlap delta > 0; the run stops once max_collisions of
-    them have completed. A VigrainError raised by a step leaves with
-    the step's 1-based index and start time as its step and t, and
-    both in its message.
+    them have completed. The Newton corrections and CG iterations of
+    every step's report, sampled or not, are summed into the result.
+    A VigrainError raised by a step leaves with the step's 1-based
+    index and start time as its step and t, and both in its message.
     """
     params = spec.contact_params()
     h = spec.h
@@ -83,6 +86,8 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
             exc.args = (f"{exc} (step {step}, t = {state.t!r})", *exc.args[1:])
             raise
         result.steps = step
+        result.newton_iters += report.newton_iters
+        result.cg_iters += report.cg_iters
 
         sample_traj = step % spec.trajectory_every == 0
         sample_diag = step % spec.diagnostics_every == 0

@@ -25,13 +25,21 @@ so CG is preconditioned by (M/h)^-1, computed once per integrator
 Systems, 2nd ed., SIAM 2003, sec. 10.2). -K is never assembled: Q is
 linear in the velocity, so each CG product is
 -K x = M x / h - (1/2) Q(q_{k+a}, x) evaluated from the contact rows.
+On a body that no contact row touches, -K is exactly its inertial
+block M/h, so each correction splits in two (block elimination with a
+diagonal block, Saad, as above): those DOFs are solved as
+dD = (M/h)^-1 r, and CG runs only on the DOFs of the bodies the rows
+couple, with the rows renumbered onto them, stopping when the whole
+residual is below CG_TOL times |r|. A correction with no coupled body
+takes no CG iteration.
 
 On a fixed contact set (alpha = 0, or any pass after N_FREEZE) r is
 affine in D and K is its exact Jacobian, so the residual after a
-correction dD is r - (-K) dD: the residual CG hands back. No force is
-evaluated again. At alpha = 0 the first residual also reuses Q(q_k,
-v_k), because D_0 / h = v_k, so a step makes one detection, one
-gradient, one damping force, one dQ/dv and one CG solve.
+correction dD is r - (-K) dD: the residual CG hands back on the
+coupled DOFs, and zero on the others, where the solve is exact. No
+force is evaluated again. At alpha = 0 the first residual also reuses
+Q(q_k, v_k), because D_0 / h = v_k, so a step makes one detection,
+one gradient, one damping force, one dQ/dv and one CG solve.
 
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
@@ -100,8 +108,11 @@ class StepReport:
     initial guess reports zero, and so does every Verlet step. On a
     frozen contact set one correction usually suffices: the residual
     then bounds the next correction (see the module docstring), so no
-    second solve is made to measure it. n_contacts is the size of the
-    set the step's last force evaluation used.
+    second solve is made to measure it. cg_iters sums the CG iterations
+    of the corrections; CG runs only on the bodies a contact row
+    couples, so a correction with no such body takes 0 iterations.
+    n_contacts is the size of the set the step's last force evaluation
+    used.
     """
 
     newton_iters: int
@@ -189,16 +200,16 @@ class VIIntegrator:
         cg_total = corrections = 0
         newton_tol = NEWTON_TOL * self.d_min
         # force scales that do not change over the Newton passes
-        fixed_scale = max(float(np.max(np.abs(q_plus), initial=0.0)),
-                          float(np.max(np.abs(p_k), initial=0.0)) / h,
-                          np.max(self.system.m) * abs(self.system.gravity),
+        fixed_scale = max(float(np.abs(q_plus).max(initial=0.0)),
+                          float(np.abs(p_k).max(initial=0.0)) / h,
+                          self.system.m.max() * abs(self.system.gravity),
                           1e-300)
 
         while True:
-            r_norm = float(np.max(np.abs(r), initial=0.0))
-            fscale = max(float(np.max(np.abs(grad_mid), initial=0.0)),
-                         float(np.max(np.abs(q_minus), initial=0.0)),
-                         float(np.max(np.abs(m_delta), initial=0.0)) / h ** 2,
+            r_norm = float(np.abs(r).max(initial=0.0))
+            fscale = max(float(np.abs(grad_mid).max(initial=0.0)),
+                         float(np.abs(q_minus).max(initial=0.0)),
+                         float(np.abs(m_delta).max(initial=0.0)) / h ** 2,
                          fixed_scale)
             tol_r = RESIDUAL_SCALE_TOL * h * fscale
             if r_norm <= tol_r and (
@@ -214,11 +225,10 @@ class VIIntegrator:
                     f"Newton did not converge in {NEWTON_MAX} iterations",
                     residual=r_norm, iterations=corrections)
             if s_mid is not k_set:
-                a_op = self._neg_stiffness(s_mid)
-                k_set = s_mid
-            d_delta, it, r_lin = cg_solve(a_op, r, tol=CG_TOL, precond=self._precond)
+                k_set, newton_solve = s_mid, self._newton_solver(s_mid)
+            d_delta, it, r_lin = newton_solve(r)
             delta = delta + d_delta
-            last_dq = float(np.max(np.abs(d_delta), initial=0.0))
+            last_dq = float(np.abs(d_delta).max(initial=0.0))
             cg_total += it
             corrections += 1
             frozen = frozen or corrections >= N_FREEZE
@@ -231,13 +241,36 @@ class VIIntegrator:
                 r, grad_mid, q_minus, m_delta = self._residual(
                     p_k, delta, q_plus, s_mid)
 
-    def _neg_stiffness(self, s_mid: ContactSet) -> BlockSparseMatrix:
-        """-K = M/h - (1/2) dQ/dv, the SPD operator handed to CG: M/h on
-        the diagonal, -1/2 times the damping rows."""
-        if self._damped and len(s_mid):
-            return _forces.dQ_dv(self.system, s_mid, self.params).affine(
-                -0.5, self._m_over_h)
-        return BlockSparseMatrix(self.system.n, self._m_over_h)
+    def _newton_solver(self, s_mid: ContactSet):
+        """The Newton correction on the set s_mid as a function of r,
+        returning (dD, CG iterations, r - (-K) dD).
+
+        On a body no row touches, -K is its inertial block M/h, so
+        dD = (M/h)^-1 r there; CG solves only the coupled bodies' block,
+        to CG_TOL relative to the whole of r, and the residual it hands
+        back is zero on the other bodies."""
+        dofs, rows = s_mid.coupled()
+        a_op = self._neg_stiffness(rows, self._m_over_h[dofs])
+        precond = self._precond[dofs]
+
+        def solve(r):
+            d_delta = r * self._precond
+            r_c = r[dofs]
+            r_c_norm = np.linalg.norm(r_c)
+            tol = CG_TOL * np.linalg.norm(r) / r_c_norm if r_c_norm else CG_TOL
+            d_delta[dofs], it, r_c = cg_solve(a_op, r_c, tol=tol, precond=precond)
+            r_lin = np.zeros_like(r)
+            r_lin[dofs] = r_c
+            return d_delta, it, r_lin
+        return solve
+
+    def _neg_stiffness(self, s: ContactSet, m_over_h) -> BlockSparseMatrix:
+        """-K = M/h - (1/2) dQ/dv over the bodies of s, the SPD operator
+        handed to CG: m_over_h, their M/h, on the diagonal, -1/2 times
+        the damping rows."""
+        if self._damped and len(s):
+            return _forces.dQ_dv(self.system, s, self.params).affine(-0.5, m_over_h)
+        return BlockSparseMatrix(s.n_bodies, m_over_h)
 
     def step(self, state: GeneralizedState) -> tuple[GeneralizedState, StepReport]:
         check_finite(state.q, state.p,
@@ -289,7 +322,7 @@ def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
               params: ContactParams) -> BlockSparseMatrix:
     """Linearization K of the residual in q_{k+1} (negative definite)."""
     integ, _, _, s_mid = _at_midpoint(q_k, q_k1_guess, cfg, system, params)
-    return integ._neg_stiffness(s_mid).affine(-1.0)
+    return integ._neg_stiffness(s_mid, integ._m_over_h).affine(-1.0)
 
 
 def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,

@@ -93,3 +93,32 @@ def test_run_step_failure_names_step_and_time(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: Newton did not converge")
     assert err.endswith("(step 1, t = 0.0)")
+
+
+@pytest.mark.parametrize("command", ["run", "scenario"])
+def test_summary_line_prints_the_solver_totals(tmp_path, capsys, monkeypatch,
+                                               command):
+    reports = []
+    step = vi.VIIntegrator.step
+
+    def spy(integ, state):
+        out = step(integ, state)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(vi.VIIntegrator, "step", spy)
+    out = str(tmp_path / "o")
+    # both runs sample diagnostics at some steps only: the totals cover all
+    if command == "run":
+        path = tmp_path / "impact.json"
+        path.write_text('{"scenario": "impact", "v": 10, "h_fraction": 40, '
+                        '"duration": 0.06, "diagnostics_every": 7}')
+        argv = ["run", "--config", str(path), "--out", out]
+    else:
+        argv = ["scenario", "box", "--steps", "25", "--out", out]
+    assert cli_main(argv) == 0
+    newton = sum(r.newton_iters for r in reports)
+    cg = sum(r.cg_iters for r in reports)
+    assert newton > 0
+    assert (f"{newton} Newton corrections, {cg} CG iterations"
+            in capsys.readouterr().out)

@@ -348,6 +348,44 @@ class TestDetectContacts:
         npt.assert_allclose(got.delta, [0.04 * skin], rtol=0, atol=ROUNDOFF)
 
 
+class TestCoupledBodies:
+    def contacts(self):
+        """Body 0 touches only the floor, bodies 1 and 2 share only a bond
+        (farther apart than d), body 3 touches nothing, bodies 4 and 5
+        overlap; the ceiling, wall 0, touches nothing."""
+        ceiling = Wall(np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, -1.0]))
+        floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        s = ParticleSystem([[0, 0, 0.45], [3, 0, 2], [4.2, 0, 2], [8, 0, 2],
+                            [12, 0, 2], [12.9, 0, 2]], walls=[ceiling, floor],
+                           bonds=[Bond(1, 2, 5.0)])
+        return s, detect_contacts(s, NeighborList.build(s))
+
+    def test_wall_only_and_bond_only_bodies_are_coupled(self):
+        s, contacts = self.contacts()
+        assert (contacts.n_pp, contacts.n_bond, contacts.n_wall) == (1, 1, 1)
+        dofs, rows = contacts.coupled()
+        coupled = np.array([0, 1, 2, 4, 5])
+        npt.assert_array_equal(dofs, (6 * coupled[:, None] + np.arange(6)).ravel())
+        # the same rows on the coupled bodies, the touched floor as ghost 5
+        assert (rows.n_bodies, rows.n_ghosts, rows.n_pp) == (5, 1, 1)
+        ids = np.append(coupled, s.n + 1)
+        npt.assert_array_equal(ids[rows.i], contacts.i)
+        npt.assert_array_equal(ids[rows.j], contacts.j)
+        npt.assert_array_equal(rows.wall, contacts.wall)
+        for name in ("delta", "normal", "arm", "m_eff", "k"):
+            assert getattr(rows, name) is getattr(contacts, name)
+
+    def test_built_once_per_set(self):
+        _, contacts = self.contacts()
+        assert contacts.coupled() is contacts.coupled()
+
+    def test_no_rows_couple_no_body(self):
+        contacts = detect_contacts(two_particles(1.4),
+                                   NeighborList.build(two_particles(1.4)))
+        dofs, rows = contacts.coupled()
+        assert dofs.size == 0 and (rows.n_bodies, len(rows)) == (0, 0)
+
+
 @pytest.mark.parametrize("skin", [0.0, -0.1])
 def test_non_positive_skin_rejected(skin):
     with pytest.raises(ValueError, match="skin"):

@@ -6,8 +6,8 @@ import pytest
 
 from vigrain import (ContactParams, GeneralizedState, IndefiniteOperatorError,
                      NonFiniteStateError, ParticleSystem, SolverFailureError,
-                     StepFailureError, VIConfig, VIIntegrator,
-                     Wall, assemble_mass_matrix, build_box, build_impact,
+                     StepFailureError, VerletIntegrator, VIConfig,
+                     VIIntegrator, Wall, assemble_mass_matrix, build_box, build_impact,
                      contact, discrete_lagrangian, implicit_position_solve,
                      linsolve, momentum_update, pack_state, quasi_static_solve,
                      residual, run_simulation, stiffness, unpack_state, vi)
@@ -305,19 +305,19 @@ class TestNewtonAcceptance:
     def test_second_correction_when_the_bound_fails(self, monkeypatch):
         system, params, cfg = pressed_box()
         state = pack_state(system)
-        solves = spy_cg(monkeypatch)
+        corrections = spy_corrections(monkeypatch)
         q1, report = implicit_position_solve(state.q, state.p, cfg, system, params)
         assert report.newton_iters == 1
-        # the stepper tests the residual CG handed back with the correction
+        # the stepper tests the residual its correction left on all 6N DOFs
         dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params,
-                                      r=solves[-1][2])
+                                      r=corrections[-1][2])
         assert dq < bound
         # a tolerance the bound misses but the next correction meets
         monkeypatch.setattr(vi, "NEWTON_TOL", np.sqrt(dq * bound))
-        solves.clear()
+        corrections.clear()
         _, report = implicit_position_solve(state.q, state.p, cfg, system, params)
-        assert report.newton_iters == len(solves) == 2
-        assert np.max(np.abs(solves[-1][0])) < vi.NEWTON_TOL * np.min(system.d)
+        assert report.newton_iters == len(corrections) == 2
+        assert np.max(np.abs(corrections[-1][0])) < vi.NEWTON_TOL * np.min(system.d)
 
     def test_redetecting_pass_accepts_on_the_last_correction(self, monkeypatch):
         # alpha = 1/2 re-detects contacts at every midpoint, where -K is
@@ -329,20 +329,21 @@ class TestNewtonAcceptance:
         integ = VIIntegrator(system, params, cfg)
         state = pack_state(system)
         state.q[0] -= 0.49; state.q[6] += 0.49  # 20 steps before contact
-        solves = spy_cg(monkeypatch)
+        corrections = spy_corrections(monkeypatch)
         newton_tol = vi.NEWTON_TOL * float(np.min(system.d))
         redetecting = 0
         for _ in range(40):
-            solves.clear()
+            corrections.clear()
             state, report = integ.step(state)
             if 0 < report.newton_iters < vi.N_FREEZE:
                 redetecting += 1
-                assert np.max(np.abs(solves[-1][0])) < newton_tol
+                assert np.max(np.abs(corrections[-1][0])) < newton_tol
         assert redetecting > 0
 
 
 def spy_cg(monkeypatch):
-    """Log what every cg_solve the stepper makes returns: (x, iterations, r)."""
+    """Log what every cg_solve the stepper makes returns: (x, iterations, r)
+    on the DOFs of the bodies a contact row couples."""
     solves = []
 
     def spy(*args, **kwargs):
@@ -351,6 +352,24 @@ def spy_cg(monkeypatch):
 
     monkeypatch.setattr(vi, "cg_solve", spy)
     return solves
+
+
+def spy_corrections(monkeypatch):
+    """Log what every Newton correction the stepper makes returns on all
+    6N DOFs: (dD, CG iterations, the residual r - (-K) dD)."""
+    corrections = []
+    newton_solver = VIIntegrator._newton_solver
+
+    def spy(integ, s_mid):
+        solve = newton_solver(integ, s_mid)
+
+        def logged(r):
+            corrections.append(solve(r))
+            return corrections[-1]
+        return logged
+
+    monkeypatch.setattr(VIIntegrator, "_newton_solver", spy)
+    return corrections
 
 
 class TestContactCache:
@@ -393,13 +412,15 @@ class TestStepWork:
                  for name in ("potential_gradient", "nonconservative_force", "dQ_dv")}
         matvecs = count_calls(monkeypatch, linsolve.BlockSparseMatrix, "matvec")
         solves = spy_cg(monkeypatch)
+        corrections = spy_corrections(monkeypatch)
         prev = state
         state, report = integ.step(prev)
         assert report.newton_iters == 1 and report.n_contacts > 0
         assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
-        assert len(solves) == 1
+        assert len(solves) == len(corrections) == 1
         assert len(matvecs) == solves[0][1] == report.cg_iters
-        # the residual CG handed back is the step residual at the accepted
+        # the residual the correction left, CG's on the coupled DOFs and
+        # zero elsewhere, is the step residual at the accepted
         # iterate; a fresh evaluation differs by its own roundoff, mostly
         # from forming q_{k+1} - q_k and M (q_{k+1} - q_k) / h
         fresh = residual(prev.q, state.q, prev.p, cfg, system, params)
@@ -407,7 +428,106 @@ class TestStepWork:
         roundoff = 16 * np.finfo(float).eps * (
             np.max(mass * np.abs(state.q)) / cfg.h + np.max(np.abs(prev.p))
             + cfg.h * np.max(system.m) * system.gravity)
-        npt.assert_allclose(solves[0][2], fresh, rtol=0, atol=roundoff)
+        npt.assert_allclose(corrections[0][2], fresh, rtol=0, atol=roundoff)
+
+
+def with_free_bodies(system, seed):
+    """system plus three bodies of other masses that touch nothing."""
+    far = [[5.0, 0.0, 0.0], [7.0, 0.0, 0.0], [9.0, 0.0, 0.0]]
+    rng = np.random.default_rng(seed)
+    return ParticleSystem(np.vstack([system.pos, far]),
+                          np.vstack([system.vel, rng.normal(size=(3, 3))]),
+                          np.vstack([system.omega, rng.normal(size=(3, 3))]),
+                          m=np.append(system.m, [0.5, 2.0, 3.0]),
+                          walls=system.walls, bonds=system.bonds)
+
+
+class TestCoupledSplit:
+    """CG solves each correction on the bodies a contact row couples; the
+    others' DOFs are solved as (M/h)^-1 r."""
+
+    def split(self, seed, params):
+        system = with_free_bodies(random_system(seed, walls=True, bonds=True), seed)
+        cfg = VIConfig(h=0.1, alpha=0.0)   # -1/2 dQ/dv is not small next to M/h
+        integ = VIIntegrator(system, params, cfg)
+        s = integ.contacts_at(pack_state(system).q)
+        r = np.random.default_rng(seed).normal(size=6 * system.n)
+        return integ, s, r
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_correction_matches_the_full_operator_solve(self, seed, damped_params):
+        integ, s, r = self.split(seed, damped_params)
+        dofs, _ = s.coupled()
+        assert s.n_bond > 0 and s.n_wall > 0
+        assert 0 < dofs.size < r.size
+        d_delta, _, r_lin = integ._newton_solver(s)(r)
+        neg_k = integ._neg_stiffness(s, integ._m_over_h)
+        want, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, precond=integ._precond)
+        # each meets |r - (-K) x| <= CG_TOL |r|, and |(-K)^-1| <= h / min(diag M)
+        err = 2 * vi.CG_TOL * np.linalg.norm(r) * integ._inv_k_bound
+        npt.assert_allclose(d_delta, want, rtol=0, atol=err)
+        true_r = r - neg_k.matvec(d_delta)
+        assert np.linalg.norm(true_r) <= 1.01 * vi.CG_TOL * np.linalg.norm(r)
+        npt.assert_allclose(r_lin, true_r, rtol=0, atol=1e-3 * vi.CG_TOL * np.linalg.norm(r))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bodies_on_no_row_are_solved_by_the_inertia(self, seed, damped_params):
+        integ, s, r = self.split(seed, damped_params)
+        free = np.ones(r.size, dtype=bool)
+        free[s.coupled()[0]] = False
+        assert free[-18:].all()
+        d_delta, _, r_lin = integ._newton_solver(s)(r)
+        inv_inertia = integ._precond     # (M/h)^-1, CG's preconditioner
+        npt.assert_allclose(inv_inertia, integ.cfg.h / integ.mass.diag, rtol=1e-15)
+        npt.assert_array_equal(d_delta[free], r[free] * inv_inertia[free])
+        npt.assert_array_equal(r_lin[free], 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_renumbered_rows_act_as_the_full_rows(self, seed, damped_params):
+        integ, s, x = self.split(seed, damped_params)
+        dofs, rows = s.coupled()
+        full = integ._neg_stiffness(s, integ._m_over_h).matvec(x)
+        coupled = integ._neg_stiffness(rows, integ._m_over_h[dofs]).matvec(x[dofs])
+        npt.assert_array_equal(full[dofs], coupled)
+        # and on the other bodies -K is M/h
+        free = np.setdiff1d(np.arange(x.size), dofs)
+        npt.assert_array_equal(full[free], integ._m_over_h[free] * x[free])
+
+    def test_contact_free_correction_runs_no_cg_iteration(self, monkeypatch):
+        # free fall at alpha = 0: the initial guess misses gravity's impulse
+        system = ParticleSystem([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [0, 1, 0]],
+                                gravity=1.0)
+        integ = VIIntegrator(system, UNDAMPED, VIConfig(h=0.01, alpha=0.0))
+        solves = spy_cg(monkeypatch)
+        matvecs = count_calls(monkeypatch, linsolve.BlockSparseMatrix, "matvec")
+        _, report = integ.step(pack_state(system))
+        assert (report.newton_iters, report.cg_iters, report.n_contacts) == (1, 0, 0)
+        assert len(solves) == 1 and solves[0][1] == 0 and not matvecs
+
+
+class TestRunTotals:
+    @pytest.mark.parametrize("integrator", ["vi", "verlet"])
+    def test_totals_sum_every_step(self, integrator, monkeypatch):
+        system, spec = build_box(n_particles=18, box_size=3)
+        system.pos[:, 2] -= 0.0045   # pressed together, as in pressed_box
+        spec.integrator, spec.duration = integrator, 25 * spec.h
+        reports = []
+        stepper = VIIntegrator if integrator == "vi" else VerletIntegrator
+        step = stepper.step
+
+        def spy(integ, state):
+            out = step(integ, state)
+            reports.append(out[1])
+            return out
+
+        monkeypatch.setattr(stepper, "step", spy)
+        result = run_simulation(system, spec)
+        assert len(reports) == result.steps == 25
+        assert spec.diagnostics_every > 1   # the samples hold only some steps
+        assert result.newton_iters == sum(r.newton_iters for r in reports)
+        assert result.cg_iters == sum(r.cg_iters for r in reports)
+        if integrator == "vi":
+            assert result.newton_iters > 0 and result.cg_iters > 0
 
 
 class TestLargeCoordinates:
