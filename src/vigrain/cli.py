@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import ImpactParams, collision_times, contact_phase_velocity
-from .errors import VigrainError
-from .forces import STIFFNESS_RATIO, contact_time
-from .io import parse_config, write_diagnostics, write_trajectory
+from .errors import ConfigError, VigrainError
+from .forces import STIFFNESS_RATIO, ContactParams, contact_time
+from .io import RunConfig, parse_config, write_diagnostics, write_trajectory
 from .runner import run_simulation
 from .scenarios import SCENARIO_BUILDERS, build_impact, build_scenario
 
@@ -35,12 +35,15 @@ def _solver_totals(result) -> str:
             f"{result.cg_iters} CG iterations")
 
 
-def _cmd_run(args) -> int:
-    path = Path(args.config)
+def _read_config(name: str) -> RunConfig:
+    path = Path(name)
     if not path.exists():
-        print(f"error: file not found: {path}", file=sys.stderr)
-        return 1
-    config = parse_config(path.read_text())
+        raise ConfigError(f"file not found: {path}")
+    return parse_config(path.read_text())
+
+
+def _cmd_run(args) -> int:
+    config = _read_config(args.config)
     result = run_simulation(build_scenario(config.spec), config.spec)
     _write_outputs(result, Path(args.out))
     print(f"{config.spec.name}: {result.steps} steps, {_solver_totals(result)}, "
@@ -49,19 +52,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     overrides = {"scenario": args.name}
-    if args.dy is not None:
-        overrides["dy"] = args.dy
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.h_frac is not None:
-        overrides["h_fraction"] = args.h_frac
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.integrator is not None:
-        overrides["integrator"] = args.integrator
-    if args.v is not None:
-        overrides["v"] = args.v
+    for flag, key in (("dy", "dy"), ("gamma", "gamma"), ("h_frac", "h_fraction"),
+                      ("alpha", "alpha"), ("integrator", "integrator"), ("v", "v")):
+        if getattr(args, flag) is not None:
+            overrides[key] = getattr(args, flag)
     config = parse_config(json.dumps(overrides))
     spec = config.spec
     if args.steps is not None:
@@ -75,11 +72,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        print(f"error: file not found: {path}", file=sys.stderr)
-        return 1
-    config = parse_config(path.read_text())
+    config = _read_config(args.config)
     results = {}
     for integ in ("vi", "verlet"):
         spec = dataclasses.replace(config.spec, integrator=integ)
@@ -107,7 +100,11 @@ def _cmd_convergence(args) -> int:
     gamma = args.gamma
     t_c = contact_time(STIFFNESS_RATIO)
     v = 1.0 / (2.0 * 4.0 * t_c)  # contact onset exactly at t_A = 4 t_c
-    oracle = ImpactParams(gamma=gamma, v=v)
+    try:  # the run's contact law and the oracle's closed form
+        ContactParams.from_damping_ratio(gamma)
+        oracle = ImpactParams(gamma=gamma, v=v)
+    except ValueError as exc:
+        raise ConfigError(f"--gamma {gamma:g}: {exc}") from exc
     t_a, _, _ = collision_times(oracle)
     fractions = (40, 80, 160, 320)
     print(f"impact convergence sweep: gamma={gamma}, v={v:.4f}")
@@ -175,10 +172,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VigrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VigrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

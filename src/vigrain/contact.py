@@ -4,8 +4,9 @@ A Verlet neighbor list caches candidate pairs and walls inside a skin and
 stays valid until some particle has moved half the skin. It is built
 from a uniform cell list (Verlet, Phys. Rev. 159, 98 (1967); Allen &
 Tildesley, Computer Simulation of Liquids) in O(N) time and memory:
-cells of edge at least max(d) + skin, each scanned against itself and
-its 13 half-shell neighbours.
+cells of edge at least d + skin, each scanned against itself and
+its 13 half-shell neighbours. ParticleSystem admits equal spheres only,
+so the list and the detection read one diameter, d = system.d[0].
 
 Every active contact becomes one row of a ContactSet and follows the
 soft-sphere convention: overlap delta = d - |r_ij|, normal
@@ -14,9 +15,9 @@ velocity split into a normal part and a tangential part that includes
 the rigid-body surface term from the angular velocities.
 
 A bond is a row with its own stiffness that stays active at any delta.
-A wall is a row whose partner is a frozen ghost body: zero velocity,
-infinite mass (m_eff = m_i), the wall's unit normal for n_ij and
-arm = d_i n, the arm of an equal partner touching at the plane.
+A wall is a row whose partner is the ghost body n, the world at rest:
+zero velocity, infinite mass (m_eff = m_i), the wall's unit normal for
+n_ij and arm = d n, the arm of an equal partner touching at the plane.
 """
 from __future__ import annotations
 
@@ -43,13 +44,13 @@ class NeighborList:
     the candidate rows of the last build (unbonded pairs closer than
     d + skin, the bonds, (particle, wall) pairs closer than d/2 + skin),
     a superset of the contacts while no particle has moved skin/2.
-    It keeps the diameters and masses it detects with, and its own
+    It keeps the diameter and the masses it detects with, and its own
     (n, 3) buffer of the centres it last detected at.
     """
 
     def __init__(self, system: ParticleSystem, pairs: np.ndarray, skin: float):
         self.skin = float(skin)
-        self.d, self.m = system.d, system.m
+        self.d, self.m = float(system.d[0]), system.m
         self.pos = system.pos.copy()
         self.normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
         self.offsets = np.array([w.point @ w.normal for w in system.walls])
@@ -69,21 +70,22 @@ class NeighborList:
         # the pair rows, then the bond rows; with no bonds, pairs is not copied
         rows = np.concatenate([pairs, self.bonds]) if self.bonds.size else pairs
         self.pairs, self.ends = rows[:len(pairs)], rows.T
-        gap = pos @ self.normals.T - self.offsets - 0.5 * self.d[:, None]
+        gap = pos @ self.normals.T - self.offsets - 0.5 * self.d
         self.wall_rows = (gap < self.skin).nonzero()   # sorted by (i, wall)
         self.ref_pos = pos.copy()
 
     @classmethod
     def build(cls, system: ParticleSystem, skin: float | None = None) -> "NeighborList":
+        d = float(system.d[0])
         if skin is None:
-            skin = DEFAULT_SKIN_FACTOR * float(np.min(system.d))
+            skin = DEFAULT_SKIN_FACTOR * d
         if skin <= 0.0:
             raise ValueError("skin distance must be positive")
-        return cls(system, cls._candidate_pairs(system.pos, system.d, skin), skin)
+        return cls(system, cls._candidate_pairs(system.pos, d, skin), skin)
 
     @staticmethod
-    def _candidate_pairs(pos: np.ndarray, d: np.ndarray, skin: float) -> np.ndarray:
-        """Every pair i < j with |r_ij| < (d_i + d_j)/2 + skin, in (i, j) order.
+    def _candidate_pairs(pos: np.ndarray, d: float, skin: float) -> np.ndarray:
+        """Every pair i < j with |r_ij| < d + skin, in (i, j) order.
 
         Raises NonFiniteStateError when a position is NaN or infinite.
         """
@@ -98,10 +100,10 @@ class NeighborList:
             return np.empty((0, 2), dtype=np.int64)
         lo = pos.min(axis=0)
         span = pos.max(axis=0) - lo
-        # Any edge >= max(d) + skin finds every pair. The margin covers the
+        # Any edge >= d + skin finds every pair. The margin covers the
         # rounding of the cell coordinates, which grows with the span, and
         # caps them at 2^40 per axis.
-        edge = ((float(np.max(d)) + skin) * (1.0 + 2.0 ** -40)
+        edge = ((d + skin) * (1.0 + 2.0 ** -40)
                 + float(np.max(span)) * 2.0 ** -40)
         while True:
             cx, cy, cz = (_gap_ranks(c) for c in np.floor((pos - lo) / edge).T)
@@ -138,7 +140,7 @@ class NeighborList:
         keep = sum((c[si] - c[sj]) ** 2 for c in pos[order].T.copy()) < edge * edge
         i, j = order[si[keep]], order[sj[keep]]
         i, j = np.minimum(i, j), np.maximum(i, j)
-        near = np.linalg.norm(pos[i] - pos[j], axis=1) < 0.5 * (d[i] + d[j]) + skin
+        near = np.linalg.norm(pos[i] - pos[j], axis=1) < d + skin
         i, j = i[near], j[near]
         by_ij = np.lexsort((j, i))
         return np.stack([i[by_ij], j[by_ij]], axis=1)
@@ -190,7 +192,7 @@ def create_bonds(system: ParticleSystem, threshold: float | None = None,
     """
     d = float(system.d[0])
     thresh = d / 100.0 if threshold is None else threshold
-    pairs = NeighborList._candidate_pairs(system.pos, system.d, thresh)
+    pairs = NeighborList._candidate_pairs(system.pos, d, thresh)
     dist = np.linalg.norm(system.pos[pairs[:, 0]] - system.pos[pairs[:, 1]], axis=1)
     return [Bond(int(i), int(j), k_bond)
             for i, j in pairs[np.abs(d - dist) < thresh]]
@@ -205,15 +207,14 @@ class ContactSet:
     excluded), then bonds (always active, any delta), then walls
     (delta > 0, ordered by particle and wall). k is 0 on Hookean rows,
     which take the contact law's k_n, and the bond's own stiffness on
-    bond rows. A wall row's partner j = n_bodies + wall index is a
-    frozen ghost body; per-body arrays get one ghost row per wall, which
-    is dropped once contributions have been summed.
+    bond rows. Every wall row's partner is the ghost body j = n_bodies,
+    the world at rest; per-body arrays get one ghost row after the
+    bodies, which is dropped once contributions have been summed.
     """
 
-    def __init__(self, n_bodies: int, n_ghosts: int, i, j, delta, normal,
-                 arm, m_eff, k, n_pp: int):
+    def __init__(self, n_bodies: int, i, j, delta, normal, arm, m_eff, k,
+                 n_pp: int):
         self.n_bodies = n_bodies
-        self.n_ghosts = n_ghosts
         self.i, self.j = i, j
         self.delta, self.normal, self.arm = delta, normal, arm
         self.m_eff, self.k = m_eff, k
@@ -224,7 +225,7 @@ class ContactSet:
     @property
     def wall(self) -> np.ndarray:
         """Row mask of wall contacts."""
-        return self.j >= self.n_bodies
+        return self.j == self.n_bodies
 
     @property
     def n_wall(self) -> int:
@@ -238,7 +239,7 @@ class ContactSet:
         return self.i.size
 
     def signature(self) -> tuple:
-        """Hashable identity of the active set, for cycle detection."""
+        """Hashable identity of the active set."""
         return (self.n_pp, tuple(self.i), tuple(self.j))
 
     def stiffness(self, k_n: float) -> np.ndarray:
@@ -247,38 +248,46 @@ class ContactSet:
 
     def padded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The translational and the rotational part of a 6N vector, each
-        one contiguous row per body and then one zero row per ghost."""
-        v = np.zeros((self.n_bodies + self.n_ghosts, BLOCK))
+        one contiguous row per body and then the ghost's zero row."""
+        v = np.zeros((self.n_bodies + 1, BLOCK))
         v[:self.n_bodies] = np.reshape(x, (self.n_bodies, BLOCK))
         return np.ascontiguousarray(v[:, :3]), np.ascontiguousarray(v[:, 3:])
 
-    def scatter_index(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of columns col..col+2 of the i and j ends' 6-DOF
-        blocks, ghosts included, for every row; built once per col."""
+    def per_body(self, vals: np.ndarray, col: int, opposite: bool) -> np.ndarray:
+        """Sum (m, 3) per-row values onto columns col..col+2 of both ends'
+        6-DOF blocks, via bincount: added on the i end, and on the j end
+        subtracted when opposite, else added. Returns a 6 n_bodies vector;
+        the ghost's block, which collects the j side of wall rows, is
+        dropped.
+        """
         if col not in self._scatter:
-            # column by column: a broadcast over a last axis of 3 is about
-            # twice as slow from a few hundred rows on
+            # the flat indices of both ends, built once per col and column
+            # by column: a broadcast over a last axis of 3 is about twice
+            # as slow from a few hundred rows on
             flat = np.empty((2, len(self), 3), dtype=np.int64)
             np.multiply((self.i, self.j), BLOCK, out=flat[:, :, 0])
             flat[:, :, 0] += col
             np.add(flat[:, :, 0], 1, out=flat[:, :, 1])
             np.add(flat[:, :, 0], 2, out=flat[:, :, 2])
             self._scatter[col] = flat[0].ravel(), flat[1].ravel()
-        return self._scatter[col]
+        idx_i, idx_j = self._scatter[col]
+        size = BLOCK * (self.n_bodies + 1)
+        on_i = np.bincount(idx_i, weights=vals.ravel(), minlength=size)
+        on_j = np.bincount(idx_j, weights=vals.ravel(), minlength=size)
+        return (on_i - on_j if opposite else on_i + on_j)[:BLOCK * self.n_bodies]
 
     def coupled(self) -> tuple[np.ndarray, "ContactSet"]:
         """The 6-DOF indices of the bodies on some row, and the same rows
-        renumbered onto those bodies, with the touched walls as their
-        ghosts; built once. Ghost ids n + w follow every body, so
-        numbering the ids on a row in order puts the bodies first."""
+        renumbered onto those bodies; built once. The ghost's id follows
+        every body's, so it stays the ghost in the new numbering."""
         if self._coupled is None:
-            on_row = np.zeros(self.n_bodies + self.n_ghosts, dtype=bool)
+            on_row = np.zeros(self.n_bodies + 1, dtype=bool)
             on_row[self.i] = on_row[self.j] = True
             bodies = on_row[:self.n_bodies].nonzero()[0]
             new_id = np.cumsum(on_row) - 1
-            rows = ContactSet(bodies.size, int(new_id[-1]) + 1 - bodies.size,
-                              new_id[self.i], new_id[self.j], self.delta,
-                              self.normal, self.arm, self.m_eff, self.k, self.n_pp)
+            rows = ContactSet(bodies.size, new_id[self.i], new_id[self.j],
+                              self.delta, self.normal, self.arm, self.m_eff,
+                              self.k, self.n_pp)
             self._coupled = (BLOCK * bodies[:, None] + np.arange(BLOCK)).ravel(), rows
         return self._coupled
 
@@ -318,39 +327,37 @@ def detect_contacts(system: ParticleSystem, nlist: NeighborList) -> ContactSet:
 
 def _detect_unchecked(pos: np.ndarray, nlist: NeighborList) -> ContactSet:
     """The candidate rows of nlist that touch at the centres pos:
-    overlapping pairs, every bond, and overlapping walls, whose ghost
-    partner is body n + wall."""
+    overlapping pairs, every bond, and overlapping walls, whose partner
+    is the ghost body n."""
     n, d, m = pos.shape[0], nlist.d, nlist.m
     ii, jj = nlist.ends
     # 1-D gathers of the columns, summed in the order of a row sum
     x, y, z = pos.T
     dx, dy, dz = x[ii] - x[jj], y[ii] - y[jj], z[ii] - z[jj]
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    d_i = d[ii]
-    if (dist < 1e-14 * d_i).any():
+    if (dist < 1e-14 * d).any():
         bad = int(np.argmin(dist))
         raise SingularGeometryError(
             f"particles {ii[bad]} and {jj[bad]} have coincident centers")
-    keep = dist < d_i
+    keep = dist < d
     keep[nlist.pairs.shape[0]:] = True          # bonds act at any overlap
     ii, jj, dist = ii[keep], jj[keep], dist[keep]
     r_ij = pos[ii] - pos[jj]
 
     wi, widx = nlist.wall_rows
-    wall_delta = 0.5 * d[wi] - (np.einsum("cd,cd->c", pos[wi], nlist.normals[widx])
-                                - nlist.offsets[widx])
+    wall_delta = 0.5 * d - (np.einsum("cd,cd->c", pos[wi], nlist.normals[widx])
+                            - nlist.offsets[widx])
     touch = wall_delta > 0.0
     wi, widx, wall_delta = wi[touch], widx[touch], wall_delta[touch]
     normals = nlist.normals[widx]
 
     n_pp = ii.size - nlist.bonds.shape[0]
     return ContactSet(
-        n, nlist.normals.shape[0],
-        i=np.concatenate([ii, wi]),
-        j=np.concatenate([jj, n + widx]),
-        delta=np.concatenate([d[ii] - dist, wall_delta]),
+        n, i=np.concatenate([ii, wi]),
+        j=np.concatenate([jj, np.full(wi.size, n)]),
+        delta=np.concatenate([d - dist, wall_delta]),
         normal=np.concatenate([r_ij / dist[:, None], normals]),
-        arm=np.concatenate([r_ij, d[wi, None] * normals]),
+        arm=np.concatenate([r_ij, d * normals]),
         m_eff=np.concatenate([m[ii] * m[jj] / (m[ii] + m[jj]), m[wi]]),
         k=np.concatenate([np.zeros(n_pp), nlist.k_bond, np.zeros(wi.size)]),
         n_pp=n_pp)

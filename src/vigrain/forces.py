@@ -13,9 +13,10 @@ generalized non-conservative force Q, which also carries the torque
 -(1/2) arm x F_t onto both partners of a contact.
 
 Each function runs once over all rows of a ContactSet: Hookean pairs,
-bonds (k = the bond's own stiffness) and walls alike. A wall row's
-j-side contributions land on its ghost body and are dropped, so a wall
-acts on the particle side only.
+bonds (k = the bond's own stiffness) and walls alike, and sums them per
+body with ContactSet.per_body. A wall row's j-side contributions land
+on the ghost body, the world at rest, and are dropped, so a wall acts on
+the particle side only.
 
 The two linear operators, dQ/dv and the potential Hessian, are applied
 from the rows and never assembled (matrix-free Newton-Krylov; Knoll &
@@ -77,20 +78,6 @@ def contact_time(k_n: float, mass: float = 1.0) -> float:
     return np.pi * np.sqrt(mass / (2.0 * k_n))
 
 
-def _per_body(contacts: ContactSet, vals: np.ndarray, col: int,
-              opposite: bool) -> np.ndarray:
-    """Sum (m, 3) per-row values onto columns col..col+2 of both ends,
-    via bincount: added on the i end, and on the j end subtracted when
-    opposite, else added. Returns a 6N vector; the ghost rows, which
-    collect the j side of wall rows, are dropped.
-    """
-    size = BLOCK * (contacts.n_bodies + contacts.n_ghosts)
-    idx_i, idx_j = contacts.scatter_index(col)
-    on_i = np.bincount(idx_i, weights=vals.ravel(), minlength=size)
-    on_j = np.bincount(idx_j, weights=vals.ravel(), minlength=size)
-    return (on_i - on_j if opposite else on_i + on_j)[:BLOCK * contacts.n_bodies]
-
-
 def potential_energy(system: ParticleSystem, contacts: ContactSet,
                      params: ContactParams) -> float:
     """Total potential: contact springs (Hookean, wall, bond) and gravity."""
@@ -107,7 +94,7 @@ def potential_gradient(system: ParticleSystem, contacts: ContactSet,
     if len(contacts):
         k = contacts.stiffness(params.k_n)
         g = (-k * contacts.delta)[:, None] * contacts.normal
-        grad = _per_body(contacts, g, 0, opposite=True)
+        grad = contacts.per_body(g, 0, opposite=True)
     else:
         grad = np.zeros(BLOCK * system.n)
     if system.gravity != 0.0:
@@ -131,8 +118,8 @@ def _damping(contacts: ContactSet, c_n: np.ndarray, c_t: np.ndarray,
     f_t = c_t[:, None] * v_t
     f = c_n[:, None] * v_n + f_t
     tau = -0.5 * cross_rows(contacts.arm, f_t)
-    return (_per_body(contacts, f, 0, opposite=True)
-            + _per_body(contacts, tau, 3, opposite=False))
+    return (contacts.per_body(f, 0, opposite=True)
+            + contacts.per_body(tau, 3, opposite=False))
 
 
 def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
@@ -171,7 +158,7 @@ def _spring(contacts: ContactSet, c_nn: np.ndarray, c_eye: np.ndarray,
     normal = contacts.normal
     w = ((c_nn * np.einsum("cd,cd->c", du, normal))[:, None] * normal
          - c_eye[:, None] * du)
-    return _per_body(contacts, w, 0, opposite=True)
+    return contacts.per_body(w, 0, opposite=True)
 
 
 def potential_hessian(system: ParticleSystem, contacts: ContactSet,

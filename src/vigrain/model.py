@@ -74,8 +74,9 @@ class ParticleSystem:
 
     Positions, orientations, velocities and angular velocities are (N, 3)
     arrays; diameter and mass are (N,) arrays. All diameters must be
-    equal. The moment of inertia is always recomputed from the sphere
-    formula at construction.
+    equal, and the contact layer reads d[0] as the one diameter. The
+    moment of inertia is always recomputed from the sphere formula at
+    construction.
     """
 
     def __init__(self, pos, vel=None, omega=None, theta=None,

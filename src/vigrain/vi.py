@@ -43,7 +43,7 @@ one gradient, one damping force, one dQ/dv and one CG solve.
 
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
-NEWTON_TOL d_min: either the last correction was that small, or the
+NEWTON_TOL d: either the last correction was that small, or the
 residual was evaluated on the contact set -K was built from and
 |r|_2 h / min(diag M) is below the tolerance. On a fixed contact set
 the next correction is (-K)^-1 r, and -K >= M/h bounds its size by
@@ -143,7 +143,6 @@ class VIIntegrator:
         self.cfg = cfg
         self.mass = assemble_mass_matrix(system)
         self.nlist = NeighborList.build(system)
-        self.d_min = float(np.min(system.d))
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
         self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
         self._m_over_h = (1.0 / cfg.h) * self.mass.diag
@@ -198,7 +197,7 @@ class VIIntegrator:
         k_set = None     # the contact set -K was built from
         last_dq = np.inf
         cg_total = corrections = 0
-        newton_tol = NEWTON_TOL * self.d_min
+        newton_tol = NEWTON_TOL * self.nlist.d
         # force scales that do not change over the Newton passes
         fixed_scale = max(float(np.abs(q_plus).max(initial=0.0)),
                           float(np.abs(p_k).max(initial=0.0)) / h,
@@ -353,9 +352,8 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
     work = system.copy()    # holds the centres of each energy evaluation
     nlist = NeighborList.build(system)
     q = np.asarray(q_init, dtype=float).ravel().copy()
-    d_min = float(np.min(system.d))
-    tol = STATIC_TOL * params.k_n * d_min
-    max_step = 0.1 * d_min
+    tol = STATIC_TOL * params.k_n * nlist.d
+    max_step = 0.1 * nlist.d
 
     contacts = nlist.contacts_at(q)
     work.pos[:] = q.reshape(-1, BLOCK)[:, :3]

@@ -122,3 +122,23 @@ def test_summary_line_prints_the_solver_totals(tmp_path, capsys, monkeypatch,
     assert newton > 0
     assert (f"{newton} Newton corrections, {cg} CG iterations"
             in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_scenario_rejects_steps_below_one(tmp_path, capsys, steps):
+    out = tmp_path / "o"
+    code = cli_main(["scenario", "walls", "--steps", steps, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--steps" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["-1", "nan", "inf", "1000"])
+def test_convergence_rejects_bad_gamma(capsys, gamma):
+    code = cli_main(["convergence", "--gamma", gamma])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --gamma")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""   # rejected before the sweep starts

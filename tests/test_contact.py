@@ -18,7 +18,7 @@ from conftest import random_system, stacked_velocity
 def all_pairs(pos, d, skin):
     """The all-pairs search the cell list replaces, with its exact test."""
     iu, ju = np.triu_indices(pos.shape[0], k=1)
-    keep = np.linalg.norm(pos[iu] - pos[ju], axis=1) < 0.5 * (d[iu] + d[ju]) + skin
+    keep = np.linalg.norm(pos[iu] - pos[ju], axis=1) < d + skin
     return np.stack([iu[keep], ju[keep]], axis=1)
 
 
@@ -26,7 +26,7 @@ def build_peak_bytes(system):
     """tracemalloc peak of one candidate-pair build."""
     tracemalloc.start()
     try:
-        NeighborList._candidate_pairs(system.pos, system.d, 0.3)
+        NeighborList._candidate_pairs(system.pos, 1.0, 0.3)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -46,7 +46,7 @@ def clouds(draw):
     if draw(st.booleans()):     # particles on the boundaries of cells of the
         edge = diameter + skin  # search's own edge, at exact cutoff distances
         pos = np.round(pos / edge) * edge
-    return pos, np.full(n, diameter), skin
+    return pos, diameter, skin
 
 
 # a wall whose normal has no zero component, so its distance is rounded;
@@ -102,8 +102,8 @@ class TestNeighborList:
         pair = [[2.2999999645255738, 50.0, 50.0], [3.5999999645255736, 50.0, 50.0]]
         s = ParticleSystem(np.vstack([box.pos, pair, np.full(3, sign * 1e9)]))
         assert build_peak_bytes(s) < 2e6
-        got = NeighborList._candidate_pairs(s.pos, s.d, 0.3)
-        npt.assert_array_equal(got, all_pairs(s.pos, s.d, 0.3))
+        got = NeighborList._candidate_pairs(s.pos, 1.0, 0.3)
+        npt.assert_array_equal(got, all_pairs(s.pos, 1.0, 0.3))
         assert got.shape == (958, 2)
 
     def test_build_memory_is_linear(self):
@@ -228,7 +228,7 @@ class TestWallKinematics:
     def test_overlap(self):
         s = ParticleSystem([[0, 0, 0.45]], walls=[self.floor])
         rows = detect_contacts_brute_force(s)
-        assert rows.n_wall == 1 and rows.j[0] == s.n  # the ghost of wall 0
+        assert rows.n_wall == 1 and rows.j[0] == s.n  # the ghost body
         assert rows.delta[0] == pytest.approx(0.05)
         npt.assert_array_equal(rows.normal, [[0, 0, 1]])
 
@@ -366,9 +366,9 @@ class TestCoupledBodies:
         dofs, rows = contacts.coupled()
         coupled = np.array([0, 1, 2, 4, 5])
         npt.assert_array_equal(dofs, (6 * coupled[:, None] + np.arange(6)).ravel())
-        # the same rows on the coupled bodies, the touched floor as ghost 5
-        assert (rows.n_bodies, rows.n_ghosts, rows.n_pp) == (5, 1, 1)
-        ids = np.append(coupled, s.n + 1)
+        # the same rows on the coupled bodies, the ghost as body 5
+        assert (rows.n_bodies, rows.n_pp) == (5, 1)
+        ids = np.append(coupled, s.n)
         npt.assert_array_equal(ids[rows.i], contacts.i)
         npt.assert_array_equal(ids[rows.j], contacts.j)
         npt.assert_array_equal(rows.wall, contacts.wall)

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (Bond, ContactParams, ParticleSystem, Wall,
-                     detect_contacts_brute_force, dQ_dv, nonconservative_force,
-                     potential_energy, potential_gradient, potential_hessian)
+from vigrain import (Bond, ContactParams, NeighborList, ParticleSystem, Wall,
+                     detect_contacts, detect_contacts_brute_force, dQ_dv,
+                     nonconservative_force, potential_energy,
+                     potential_gradient, potential_hessian)
 from vigrain.forces import contact_time
 
 from conftest import dense, fd_gradient, random_system, stacked_velocity
@@ -188,6 +189,61 @@ class TestWallLeverArm:
         d_pair = dense(dQ_dv(on_pair, detect_contacts_brute_force(on_pair),
                              self.params))
         npt.assert_allclose(d_wall, d_pair[:6, :6], rtol=1e-2, atol=1e-12)
+
+
+class TestCorner:
+    """Body 1 sits in the corner of the floor and a side wall, bodies 2
+    and 3 overlap away from both, body 0 touches nothing. Both wall rows
+    of body 1 have the one ghost body as partner."""
+
+    floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    side = Wall(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+
+    def system(self, walls):
+        rng = np.random.default_rng(4)
+        return ParticleSystem([[10, 10, 5], [0.46, 0, 0.45], [3, 0, 2], [3.9, 0, 2]],
+                              rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
+                              walls=walls)
+
+    def test_two_wall_rows_on_the_ghost(self):
+        s = self.system([self.floor, self.side])
+        got = detect_contacts(s, NeighborList.build(s))
+        want = detect_contacts_brute_force(s)
+        assert (got.n_pp, got.n_bond, got.n_wall) == (1, 0, 2)
+        npt.assert_array_equal(got.i[got.wall], [1, 1])
+        npt.assert_array_equal(got.j[got.wall], [s.n, s.n])
+        npt.assert_allclose(got.delta[got.wall], [0.05, 0.04], rtol=1e-12)
+        assert got.signature() == want.signature()
+        for name in ("delta", "normal", "arm", "m_eff", "k"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_forces_add_over_the_walls(self, damped_params):
+        # the corner's terms are those of the floor alone plus those of
+        # the side wall alone, less the wall-free ones the pair adds twice
+        velocity = stacked_velocity(self.system([]))
+
+        def terms(walls):
+            s = self.system(walls)
+            contacts = detect_contacts_brute_force(s)
+            return (potential_gradient(s, contacts, damped_params),
+                    nonconservative_force(s, contacts, velocity, damped_params),
+                    dense(dQ_dv(s, contacts, damped_params)))
+
+        parts = [terms(w) for w in ([self.floor, self.side], [self.floor],
+                                    [self.side], [])]
+        for corner, floor, side, neither in zip(*parts):
+            assert np.any(corner[6:12] != neither[6:12])
+            npt.assert_allclose(corner, floor + side - neither, rtol=0,
+                                atol=1e-12 * np.abs(corner).max())
+
+    def test_coupled_renumbers_the_ghost(self):
+        contacts = detect_contacts_brute_force(self.system([self.floor, self.side]))
+        dofs, rows = contacts.coupled()
+        npt.assert_array_equal(dofs, np.arange(6, 24))
+        assert rows.n_bodies == 3
+        npt.assert_array_equal(rows.i, contacts.i - 1)
+        npt.assert_array_equal(rows.j, [2, 3, 3])
+        npt.assert_array_equal(rows.wall, [False, True, True])
 
 
 class TestDQDV:
