@@ -13,8 +13,8 @@ from .analytic import (ImpactParams, collision_times, contact_phase_duration,
 from .contact import (ContactSet, NeighborList, create_bonds, detect_contacts,
                       detect_contacts_brute_force)
 from .diagnostics import (FrameStats, ensemble_stats, kinetic_energy,
-                          mean_kinetic, particle_kinetic, total_energy,
-                          total_momentum, velocity_fluctuation)
+                          mean_kinetic, total_energy, total_momentum,
+                          velocity_fluctuation)
 from .errors import (ConfigError, IndefiniteOperatorError,
                      NonFiniteStateError, SingularGeometryError,
                      SolverFailureError, StaleNeighborListError,
@@ -25,7 +25,7 @@ from .forces import (STIFFNESS_RATIO, ContactParams, contact_time, dQ_dv,
 from .io import (RunConfig, parse_config, read_trajectory, render_config,
                  write_diagnostics, write_trajectory)
 from .linsolve import BlockSparseMatrix, cg_solve
-from .model import (Bond, GeneralizedState, MassMatrix, ParticleSystem, Wall,
+from .model import (Bond, GeneralizedState, ParticleSystem, Wall,
                     assemble_mass_matrix, pack_state, sphere_inertia,
                     unpack_state)
 from .runner import RunResult, run_simulation
@@ -33,8 +33,7 @@ from .scenarios import (ScenarioSpec, build_bonded, build_box, build_impact,
                         build_scenario, build_walls)
 from .verlet import VerletIntegrator
 from .vi import (QuasiStaticReport, StepReport, VIConfig, VIIntegrator,
-                 discrete_lagrangian, implicit_position_solve,
-                 momentum_update, quasi_static_solve, residual, stiffness)
+                 discrete_lagrangian, quasi_static_solve, residual)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

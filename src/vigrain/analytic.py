@@ -36,8 +36,11 @@ class ImpactParams:
     v: float = 1.0
 
     def __post_init__(self):
-        if self.d <= 0 or self.m <= 0 or self.k_n <= 0:
-            raise ValueError("d, m and k_n must be positive")
+        for name in ("d", "m", "k_n", "v"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and non-negative")
         if 2.0 * self.k_n / self.m <= (self.gamma / self.m) ** 2:
             raise ValueError("overdamped parameters: t_gamma is not real")
 
@@ -78,14 +81,11 @@ def impact_velocity_consistent(t: float, p: ImpactParams) -> float:
     return p.v * decay * ((p.gamma * tg / p.m) * np.sin(t / tg) - np.cos(t / tg))
 
 
-def collision_times(p: ImpactParams, approach_speed: float | None = None):
+def collision_times(p: ImpactParams):
     """(t_A, t_C, t_gamma): free-flight time to contact from the standard
     initial placement at x = +-d, the contact duration, and the damped
     oscillator time scale."""
-    v = p.v if approach_speed is None else approach_speed
-    if v <= 0.0:
-        raise ValueError("approach speed must be positive")
-    t_a = p.d / (2.0 * v)
+    t_a = p.d / (2.0 * p.v)
     t_c = np.pi * np.sqrt(p.m / (2.0 * p.k_n))
     return t_a, t_c, p.t_gamma
 

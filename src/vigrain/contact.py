@@ -153,10 +153,8 @@ class NeighborList:
         moved2 = np.max(dx * dx + dy * dy + dz * dz, initial=0.0)
         return bool(np.sqrt(moved2) < 0.5 * self.skin)
 
-    def rebuild(self, system: ParticleSystem) -> None:
-        self._rebuild(system.pos)
-
-    def _rebuild(self, pos: np.ndarray) -> None:
+    def rebuild(self, pos: np.ndarray) -> None:
+        """Build the candidate rows anew around the centres pos."""
         self._hold(pos, self._candidate_pairs(pos, self.d, self.skin))
 
     def contacts_at(self, q: np.ndarray) -> "ContactSet":
@@ -165,7 +163,7 @@ class NeighborList:
         if self._q is None or not np.array_equal(q, self._q):
             self.pos[:] = q.reshape(-1, BLOCK)[:, :3]
             if not self.is_valid(self.pos):
-                self._rebuild(self.pos)
+                self.rebuild(self.pos)
             self._contacts = _detect_unchecked(self.pos, self)
             self._q = np.array(q, dtype=float)
         return self._contacts

@@ -25,21 +25,6 @@ class FrameStats:
     dv: float
 
 
-def particle_kinetic(system: ParticleSystem, i: int,
-                     vel_components=(0, 1, 2),
-                     omega_components=(0, 1, 2)) -> tuple[float, float]:
-    """(K_T, K_R) of one particle.
-
-    Component masks allow planar reporting (e.g. vx, vy and omega_z only);
-    defaults are the full 3D sums.
-    """
-    v = system.vel[i]
-    w = system.omega[i]
-    k_t = 0.5 * system.m[i] * sum(v[c] ** 2 for c in vel_components)
-    k_r = 0.5 * system.inertia[i] * sum(w[c] ** 2 for c in omega_components)
-    return float(k_t), float(k_r)
-
-
 def kinetic_energy(system: ParticleSystem) -> tuple[float, float]:
     """Total translational and rotational kinetic energy."""
     k_t = 0.5 * float(np.sum(system.m * np.sum(system.vel ** 2, axis=1)))

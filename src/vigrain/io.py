@@ -133,23 +133,34 @@ def read_trajectory(path) -> list[TrajectoryFrame]:
     """Inverse of write_trajectory (exact for round-trip formatted floats).
 
     Reads line by line and makes each frame one array as it ends, so no
-    more than one frame is held as text or as Python floats.
+    more than one frame is held as text or as Python floats. A row
+    without 11 numbers, or whose id is not its index in the frame,
+    raises ConfigError naming its line.
     """
     frames: list[TrajectoryFrame] = []
     current_t, values = None, []
     with Path(path).open() as fh:
         if fh.readline().strip() != TRAJECTORY_HEADER:
             raise ConfigError("unrecognized trajectory header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.split(",")
-            t = float(parts[0])
+            if len(parts) != 11:
+                raise ConfigError(f"trajectory line {lineno}: expected 11 fields, "
+                                  f"got {len(parts)}")
+            try:
+                t, pid, row = float(parts[0]), int(parts[1]), list(map(float, parts[2:]))
+            except ValueError as exc:
+                raise ConfigError(f"trajectory line {lineno}: {exc}") from None
             if t != current_t:
                 if values:
                     frames.append(_frame(current_t, values))
                 current_t, values = t, []
-            values.extend(map(float, parts[2:]))
+            if pid != len(values) // 9:
+                raise ConfigError(f"trajectory line {lineno}: particle id {pid}, "
+                                  f"expected {len(values) // 9}")
+            values.extend(row)
     if values:
         frames.append(_frame(current_t, values))
     return frames

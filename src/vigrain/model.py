@@ -1,4 +1,4 @@
-"""Particle system description, generalized coordinates and the mass matrix.
+"""Particle system description, generalized coordinates and the mass diagonal.
 
 Each particle carries 6 degrees of freedom: 3 translational and 3
 rotational (an accumulated rotation pseudo-vector; the frictionless
@@ -149,37 +149,13 @@ class GeneralizedState:
             raise ValueError("state length must be a multiple of 6")
 
 
-class MassMatrix:
-    """Diagonal 6N x 6N mass matrix, per-particle blocks diag([m m m I I I])."""
-
-    def __init__(self, diag: np.ndarray):
-        self.diag = np.asarray(diag, dtype=float).ravel()
-        if np.any(self.diag <= 0.0):
-            raise ValueError("mass matrix must be positive definite")
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.diag.size:
-            raise ValueError("dimension mismatch in mass matrix product")
-        return self.diag * x
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.diag.size:
-            raise ValueError("dimension mismatch in mass matrix solve")
-        return x / self.diag
-
-
-def assemble_mass_matrix(system: ParticleSystem) -> MassMatrix:
-    """Build the diagonal mass matrix for a particle system."""
+def assemble_mass_matrix(system: ParticleSystem) -> np.ndarray:
+    """The 6N diagonal of the mass matrix, per-particle blocks [m m m I I I];
+    M x is mass * x and M^-1 x is x / mass."""
     diag = np.empty((system.n, 6))
     diag[:, :3] = system.m[:, None]
     diag[:, 3:] = system.inertia[:, None]
-    return MassMatrix(diag.ravel())
+    return diag.ravel()
 
 
 def pack_state(system: ParticleSystem, t: float = 0.0, k: int = 0) -> GeneralizedState:
@@ -191,7 +167,7 @@ def pack_state(system: ParticleSystem, t: float = 0.0, k: int = 0) -> Generalize
     v = np.empty((n, 6))
     v[:, :3] = system.vel
     v[:, 3:] = system.omega
-    p = assemble_mass_matrix(system).matvec(v.ravel())
+    p = assemble_mass_matrix(system) * v.ravel()
     return GeneralizedState(q=q.ravel(), p=p, t=t, k=k)
 
 

@@ -19,7 +19,7 @@ from .vi import StepReport
 
 
 class VerletIntegrator:
-    """Mass matrix and neighbor list for a velocity-Verlet run.
+    """Mass diagonal and neighbor list for a velocity-Verlet run.
 
     The list keeps the contacts of the last configuration it saw, and
     the integrator the -grad V of that set, so the first kick of a step
@@ -64,11 +64,11 @@ class VerletIntegrator:
         check_finite(state.q, state.p,
                      f"input of Verlet step {state.k} (t = {state.t:g})")
         h = self.h
-        v = self.mass.solve(state.p)
-        v_half = v + 0.5 * h * self.mass.solve(self._force(state.q, v))
+        v = state.p / self.mass
+        v_half = v + 0.5 * h * (self._force(state.q, v) / self.mass)
         q_new = state.q + h * v_half
-        v_new = v_half + 0.5 * h * self.mass.solve(self._force(q_new, v_half))
-        p_new = self.mass.matvec(v_new)
+        v_new = v_half + 0.5 * h * (self._force(q_new, v_half) / self.mass)
+        p_new = self.mass * v_new
         # a NaN in the orientations never reaches the neighbour-list guard
         check_finite(q_new, p_new, f"Verlet step {state.k} (t = {state.t:g}) result")
         return (GeneralizedState(q=q_new, p=p_new, t=state.t + h, k=state.k + 1),

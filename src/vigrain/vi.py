@@ -129,7 +129,7 @@ class QuasiStaticReport:
 
 
 class VIIntegrator:
-    """Owns the mass matrix and neighbor list for a run.
+    """Owns the mass diagonal and neighbor list for a run.
 
     The list keeps the contacts of the last configuration it detected, so
     a step that starts where the caller last asked for contacts
@@ -144,8 +144,8 @@ class VIIntegrator:
         self.mass = assemble_mass_matrix(system)
         self.nlist = NeighborList.build(system)
         # |(-K)^-1|_2 <= h / min(diag M), because -K >= M/h
-        self._inv_k_bound = cfg.h / float(np.min(self.mass.diag))
-        self._m_over_h = (1.0 / cfg.h) * self.mass.diag
+        self._inv_k_bound = cfg.h / float(np.min(self.mass))
+        self._m_over_h = (1.0 / cfg.h) * self.mass
         self._precond = 1.0 / self._m_over_h   # CG's, the same for every -K
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
 
@@ -174,7 +174,7 @@ class VIIntegrator:
             q_minus = (_forces.nonconservative_force(self.system, s_mid,
                                                      delta / h, self.params)
                        if self._damped else np.zeros_like(delta))
-        m_delta = self.mass.matvec(delta)
+        m_delta = self.mass * delta
         r = (p_k - m_delta / h
              - h * (1.0 - alpha) * grad_mid
              + 0.5 * h * q_minus + 0.5 * h * q_plus)
@@ -185,7 +185,7 @@ class VIIntegrator:
     def solve_position(self, q_k: np.ndarray, p_k: np.ndarray):
         """Newton loop on the displacement; returns (q_{k+1}, p_{k+1}, report)."""
         h, alpha = self.cfg.h, self.cfg.alpha
-        vel_k = self.mass.solve(p_k)
+        vel_k = p_k / self.mass
         s_k, q_plus = self._explicit_damping(q_k, vel_k)
 
         delta = h * vel_k
@@ -217,7 +217,7 @@ class VIIntegrator:
                         * self._inv_k_bound < newton_tol)):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 q_next = q_k + delta
-                p_next = self.mass.matvec(q_next - q_k) / h - h * alpha * grad_mid
+                p_next = self.mass * (q_next - q_k) / h - h * alpha * grad_mid
                 return q_next, p_next, report
             if corrections >= NEWTON_MAX:
                 raise StepFailureError(
@@ -234,7 +234,7 @@ class VIIntegrator:
             if frozen:
                 # affine residual: Q(s_mid, delta / h) is not formed, and
                 # leaving it out of fscale only tightens the test
-                r, q_minus, m_delta = r_lin, 0.0, self.mass.matvec(delta)
+                r, q_minus, m_delta = r_lin, 0.0, self.mass * delta
             else:
                 s_mid = self.contacts_at(q_k + alpha * delta)
                 r, grad_mid, q_minus, m_delta = self._residual(
@@ -291,7 +291,7 @@ def discrete_lagrangian(q_k: np.ndarray, q_k1: np.ndarray, cfg: VIConfig,
     q_k1 = np.asarray(q_k1, dtype=float).ravel()
     mass = assemble_mass_matrix(system)
     dq = q_k1 - q_k
-    kinetic = 0.5 * float(dq @ mass.matvec(dq)) / cfg.h
+    kinetic = 0.5 * float(dq @ (mass * dq)) / cfg.h
     q_mid = (1.0 - cfg.alpha) * q_k + cfg.alpha * q_k1
     work = system.copy()
     work.pos[:] = q_mid.reshape(-1, BLOCK)[:, :3]
@@ -299,46 +299,16 @@ def discrete_lagrangian(q_k: np.ndarray, q_k1: np.ndarray, cfg: VIConfig,
     return kinetic - cfg.h * _forces.potential_energy(work, contacts, params)
 
 
-def _at_midpoint(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
-                 params: ContactParams):
-    """(integrator, q_k, q_k1 - q_k, contacts at q_k + alpha (q_k1 - q_k))."""
-    integ = VIIntegrator(system, params, cfg)
-    q_k = np.asarray(q_k, dtype=float).ravel()
-    delta = np.asarray(q_k1, dtype=float).ravel() - q_k
-    return integ, q_k, delta, integ.contacts_at(q_k + cfg.alpha * delta)
-
-
 def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
              params: ContactParams) -> np.ndarray:
     """The nonlinear step equation evaluated at a trial q_{k+1}."""
-    p_k = np.asarray(p_k, dtype=float).ravel()
-    integ, q_k, delta, s_mid = _at_midpoint(q_k, q_k1_guess, cfg, system, params)
-    _, q_plus = integ._explicit_damping(q_k, integ.mass.solve(p_k))
-    return integ._residual(p_k, delta, q_plus, s_mid)[0]
-
-
-def stiffness(q_k, q_k1_guess, cfg: VIConfig, system: ParticleSystem,
-              params: ContactParams) -> BlockSparseMatrix:
-    """Linearization K of the residual in q_{k+1} (negative definite)."""
-    integ, _, _, s_mid = _at_midpoint(q_k, q_k1_guess, cfg, system, params)
-    return integ._neg_stiffness(s_mid, integ._m_over_h).affine(-1.0)
-
-
-def implicit_position_solve(q_k, p_k, cfg: VIConfig, system: ParticleSystem,
-                            params: ContactParams):
-    """Newton solve for q_{k+1} from (q_k, p_k); returns (q_{k+1}, StepReport)."""
     integ = VIIntegrator(system, params, cfg)
-    q, _, report = integ.solve_position(np.asarray(q_k, dtype=float).ravel(),
-                                        np.asarray(p_k, dtype=float).ravel())
-    return q, report
-
-
-def momentum_update(q_k, q_k1, cfg: VIConfig, system: ParticleSystem,
-                    params: ContactParams) -> np.ndarray:
-    """Explicit momentum update for an accepted position step."""
-    integ, _, delta, s_mid = _at_midpoint(q_k, q_k1, cfg, system, params)
-    grad = _forces.potential_gradient(system, s_mid, params)
-    return integ.mass.matvec(delta) / cfg.h - cfg.h * cfg.alpha * grad
+    q_k = np.asarray(q_k, dtype=float).ravel()
+    delta = np.asarray(q_k1_guess, dtype=float).ravel() - q_k
+    p_k = np.asarray(p_k, dtype=float).ravel()
+    s_mid = integ.contacts_at(q_k + cfg.alpha * delta)
+    _, q_plus = integ._explicit_damping(q_k, p_k / integ.mass)
+    return integ._residual(p_k, delta, q_plus, s_mid)[0]
 
 
 def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):

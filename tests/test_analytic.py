@@ -70,9 +70,17 @@ class TestCollisionTimes:
         assert t_g == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_rejects_nonpositive_speed(self):
-        p = ImpactParams()
-        with pytest.raises(ValueError):
-            collision_times(p, approach_speed=0.0)
+        with pytest.raises(ValueError, match="^v must"):
+            ImpactParams(v=0.0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("d", "m", "k_n", "v")
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)] + [
+    ("gamma", bad) for bad in (np.nan, np.inf, -np.inf, -5.0)])
+def test_impact_params_reject_bad_field(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ImpactParams(**{field: bad})
 
 
 class TestConsistency:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from vigrain import (ContactParams, ParticleSystem, Wall,
                      detect_contacts_brute_force, ensemble_stats,
-                     particle_kinetic, total_energy, total_momentum,
+                     kinetic_energy, total_energy, total_momentum,
                      velocity_fluctuation, mean_kinetic)
 
 from conftest import random_system
@@ -15,24 +15,21 @@ UNDAMPED = ContactParams(k_n=195000.0)
 
 
 class TestParticleKinetic:
+    """kinetic_energy of a single particle: (1/2 m v^2, 1/2 I w^2)."""
+
     def test_at_rest(self):
         s = ParticleSystem([[0, 0, 0]])
-        assert particle_kinetic(s, 0) == (0.0, 0.0)
+        assert kinetic_energy(s) == (0.0, 0.0)
 
     def test_translational(self):
         s = ParticleSystem([[0, 0, 0]], [[1, 0, 0]], m=2.0)
-        k_t, k_r = particle_kinetic(s, 0)
+        k_t, k_r = kinetic_energy(s)
         assert k_t == pytest.approx(1.0) and k_r == 0.0
 
     def test_rotational(self):
         s = ParticleSystem([[0, 0, 0]], omega=[[0, 0, 3.0]], m=1.0, d=1.0)
-        k_t, k_r = particle_kinetic(s, 0)
-        assert k_r == pytest.approx(0.45)
-
-    def test_planar_mask(self):
-        s = ParticleSystem([[0, 0, 0]], [[1.0, 2.0, 3.0]], m=2.0)
-        k_t, _ = particle_kinetic(s, 0, vel_components=(0, 1))
-        assert k_t == pytest.approx(0.5 * 2 * (1 + 4))
+        k_t, k_r = kinetic_energy(s)
+        assert k_t == 0.0 and k_r == pytest.approx(0.45)
 
 
 class TestEnsembleStats:

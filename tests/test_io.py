@@ -162,6 +162,23 @@ class TestCSV:
         with pytest.raises(ConfigError, match="trajectory header"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:],
+         "line 3: expected 11 fields, got 10"),
+        (lambda ls: ls[:2] + [ls[2] + ",0.5"] + ls[3:],
+         "line 3: expected 11 fields, got 12"),
+        (lambda ls: [ls[0], ls[2], ls[1]] + ls[3:],
+         "line 2: particle id 1, expected 0"),
+        (lambda ls: ls[:2] + [ls[2].replace(",1,", ",1,abc,", 1).rsplit(",", 1)[0]]
+         + ls[3:], "line 3: could not convert string to float: 'abc'"),
+    ], ids=["truncated row", "extra field", "swapped ids", "not a number"])
+    def test_malformed_row_is_named(self, tmp_path, corrupt, message):
+        path = tmp_path / "traj.csv"
+        write_trajectory(self.make_frames(), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConfigError, match=f"^trajectory {message}$"):
+            read_trajectory(path)
+
     def test_diagnostics_header(self, tmp_path):
         cfg = parse_config('{"scenario": "impact", "duration": 0.01}')
         result = run_simulation(build_scenario(cfg.spec), cfg.spec)

@@ -8,9 +8,9 @@ from vigrain import (ContactParams, GeneralizedState, IndefiniteOperatorError,
                      NonFiniteStateError, ParticleSystem, SolverFailureError,
                      StepFailureError, VerletIntegrator, VIConfig,
                      VIIntegrator, Wall, assemble_mass_matrix, build_box, build_impact,
-                     contact, discrete_lagrangian, implicit_position_solve,
-                     linsolve, momentum_update, pack_state, quasi_static_solve,
-                     residual, run_simulation, stiffness, unpack_state, vi)
+                     contact, discrete_lagrangian, linsolve, pack_state,
+                     quasi_static_solve, residual, run_simulation,
+                     unpack_state, vi)
 from vigrain.analytic import (ImpactParams, contact_phase_velocity,
                               collision_times)
 from vigrain import forces
@@ -26,6 +26,13 @@ UNDAMPED = ContactParams(k_n=K_N)
 
 def free_particle(v=(1.0, 0.0, 0.0)):
     return ParticleSystem([[0, 0, 0]], [list(v)])
+
+
+def neg_stiffness(q_k, q_k1, cfg, system, params):
+    """The stepper's -K on the contact set at q_k + alpha (q_k1 - q_k)."""
+    integ = VIIntegrator(system, params, cfg)
+    s_mid = integ.contacts_at(q_k + cfg.alpha * (q_k1 - q_k))
+    return integ._neg_stiffness(s_mid, integ._m_over_h)
 
 
 class TestDiscreteLagrangian:
@@ -64,7 +71,7 @@ class TestResidual:
         cfg = VIConfig(h=0.01, alpha=0.5)
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
-        guess = state.q + cfg.h * mass.solve(state.p)
+        guess = state.q + cfg.h * (state.p / mass)
         r = residual(state.q, guess, state.p, cfg, s, UNDAMPED)
         npt.assert_array_equal(r, 0.0)
 
@@ -73,7 +80,7 @@ class TestResidual:
         cfg = VIConfig(h=0.01, alpha=0.0)
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
-        guess = state.q + cfg.h * mass.solve(state.p)
+        guess = state.q + cfg.h * (state.p / mass)
         r = residual(state.q, guess, state.p, cfg, s, UNDAMPED)
         npt.assert_allclose(r, [0, 0, -cfg.h * 1.0, 0, 0, 0], atol=1e-15)
 
@@ -86,7 +93,7 @@ class TestResidual:
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
         q_k = state.q
-        q_k1 = q_k + cfg.h * mass.solve(state.p) * 0.9
+        q_k1 = q_k + cfg.h * (state.p / mass) * 0.9
 
         d1 = fd_gradient(
             lambda qk: discrete_lagrangian(qk, q_k1, cfg, s, damped_params),
@@ -101,7 +108,7 @@ class TestResidual:
                                         damped_params)
         work.pos[:] = q_k.reshape(-1, 6)[:, :3]
         s_k = detect_contacts_brute_force(work)
-        q_plus = nonconservative_force(work, s_k, mass.solve(state.p),
+        q_plus = nonconservative_force(work, s_k, state.p / mass,
                                        damped_params)
         oracle = state.p + d1 + 0.5 * cfg.h * q_minus + 0.5 * cfg.h * q_plus
         got = residual(q_k, q_k1, state.p, cfg, s, damped_params)
@@ -114,26 +121,26 @@ class TestStiffness:
         s = free_particle()
         cfg = VIConfig(h=0.02, alpha=0.5)
         q = pack_state(s).q
-        k_op = stiffness(q, q, cfg, s, UNDAMPED)
+        neg_k = neg_stiffness(q, q, cfg, s, UNDAMPED)
         mass = assemble_mass_matrix(s)
-        npt.assert_allclose(dense(k_op), -np.diag(mass.diag) / cfg.h)
+        npt.assert_allclose(dense(neg_k), np.diag(mass) / cfg.h)
 
     def test_normal_damped_offdiag_block(self):
         params = ContactParams(k_n=K_N, gamma_n=15.0, gamma_t=0.0)
         s = ParticleSystem([[0.45, 0, 0], [-0.45, 0, 0]])
         cfg = VIConfig(h=0.01, alpha=0.0)
         q = pack_state(s).q
-        k_dense = dense(stiffness(q, q, cfg, s, params))
+        neg_k = dense(neg_stiffness(q, q, cfg, s, params))
         proj = np.zeros((3, 3)); proj[0, 0] = 1.0
-        npt.assert_allclose(k_dense[:3, 6:9], 0.5 * 15.0 * 0.5 * proj, atol=1e-12)
+        npt.assert_allclose(neg_k[:3, 6:9], -0.5 * 15.0 * 0.5 * proj, atol=1e-12)
 
     def test_symmetric(self, damped_params):
         s = random_system(17, n=4, walls=True, bonds=True)
         cfg = VIConfig(h=T_C / 40, alpha=0.5)
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
-        guess = state.q + cfg.h * mass.solve(state.p)
-        k_dense = dense(stiffness(state.q, guess, cfg, s, damped_params))
+        guess = state.q + cfg.h * (state.p / mass)
+        k_dense = dense(neg_stiffness(state.q, guess, cfg, s, damped_params))
         npt.assert_allclose(k_dense, k_dense.T,
                             atol=1e-12 * (1 + np.abs(k_dense).max()))
 
@@ -143,9 +150,9 @@ class TestImplicitSolve:
         s = free_particle()
         cfg = VIConfig(h=0.01, alpha=0.5)
         state = pack_state(s)
-        q1, report = implicit_position_solve(state.q, state.p, cfg, s, UNDAMPED)
+        q1, _, report = VIIntegrator(s, UNDAMPED, cfg).solve_position(state.q, state.p)
         mass = assemble_mass_matrix(s)
-        npt.assert_allclose(q1, state.q + cfg.h * mass.solve(state.p))
+        npt.assert_allclose(q1, state.q + cfg.h * (state.p / mass))
         assert report.newton_iters <= 1
 
     def test_gravity_alpha0_hand_solved(self):
@@ -154,10 +161,9 @@ class TestImplicitSolve:
         cfg = VIConfig(h=0.01, alpha=0.0)
         state = pack_state(s)
         mass = assemble_mass_matrix(s)
-        q1, _ = implicit_position_solve(state.q, state.p, cfg, s, UNDAMPED)
+        q1, _, _ = VIIntegrator(s, UNDAMPED, cfg).solve_position(state.q, state.p)
         grad = np.array([0, 0, 1.0, 0, 0, 0])
-        oracle = state.q + cfg.h * mass.solve(state.p) \
-            - cfg.h ** 2 * mass.solve(grad)
+        oracle = state.q + cfg.h * (state.p / mass) - cfg.h ** 2 * (grad / mass)
         npt.assert_allclose(q1, oracle, atol=1e-14)
 
     def test_newton_failure_signal(self, damped_params, monkeypatch):
@@ -169,27 +175,31 @@ class TestImplicitSolve:
         state.q[0] -= 0.52
         state.q[6] += 0.52
         with pytest.raises(StepFailureError):
-            implicit_position_solve(state.q, state.p, cfg, system, damped_params)
+            VIIntegrator(system, damped_params, cfg).solve_position(state.q, state.p)
 
 
 class TestMomentumUpdate:
+    """The p_{k+1} that solve_position returns with its q_{k+1}."""
+
     def test_alpha0_identity(self):
-        s = random_system(8, n=3)
+        s = random_system(8, n=3, walls=True, bonds=True)
+        s.vel[:] = np.random.default_rng(0).normal(size=s.vel.shape)
         cfg = VIConfig(h=0.004, alpha=0.0)
         state = pack_state(s)
-        rng = np.random.default_rng(0)
-        q1 = state.q + 0.004 * rng.normal(size=state.q.size)
+        q1, p, report = VIIntegrator(s, UNDAMPED, cfg).solve_position(state.q, state.p)
+        assert report.n_contacts > 0
         mass = assemble_mass_matrix(s)
-        p = momentum_update(state.q, q1, cfg, s, UNDAMPED)
-        npt.assert_array_equal(p, mass.matvec(q1 - state.q) / cfg.h)
+        npt.assert_array_equal(p, mass * (q1 - state.q) / cfg.h)
 
     def test_alpha_half_gravity_row(self):
+        # from rest, D = -(h^2/2) g and p_1 = M D / h - (h/2) g = -h g
         s = ParticleSystem([[0, 0, 5.0]], gravity=1.0)
         cfg = VIConfig(h=0.01, alpha=0.5)
         q = pack_state(s).q
-        q1 = q.copy(); q1[2] -= 0.002
-        p = momentum_update(q, q1, cfg, s, UNDAMPED)
-        assert p[2] == pytest.approx((1 / cfg.h) * (-0.002) - 0.5 * cfg.h * 1.0)
+        q1, p, _ = VIIntegrator(s, UNDAMPED, cfg).solve_position(q, np.zeros_like(q))
+        assert q1[2] - q[2] == pytest.approx(-0.5 * cfg.h ** 2)
+        assert p[2] == pytest.approx((1 / cfg.h) * (q1[2] - q[2]) - 0.5 * cfg.h * 1.0)
+        assert p[2] == pytest.approx(-cfg.h * 1.0)
 
 
 class TestVIStep:
@@ -281,8 +291,8 @@ def forced_correction(q_k, p_k, q_next, cfg, system, params, r=None):
     defaults to a fresh evaluation of the residual there."""
     if r is None:
         r = residual(q_k, q_next, p_k, cfg, system, params)
-    neg_k = stiffness(q_k, q_next, cfg, system, params).affine(-1.0)
-    mass = assemble_mass_matrix(system).diag
+    neg_k = neg_stiffness(q_k, q_next, cfg, system, params)
+    mass = assemble_mass_matrix(system)
     dq, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, precond=cfg.h / mass)
     bound = np.linalg.norm(r) * cfg.h / mass.min()
     return float(np.max(np.abs(dq))), bound
@@ -306,7 +316,7 @@ class TestNewtonAcceptance:
         system, params, cfg = pressed_box()
         state = pack_state(system)
         corrections = spy_corrections(monkeypatch)
-        q1, report = implicit_position_solve(state.q, state.p, cfg, system, params)
+        q1, _, report = VIIntegrator(system, params, cfg).solve_position(state.q, state.p)
         assert report.newton_iters == 1
         # the stepper tests the residual its correction left on all 6N DOFs
         dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params,
@@ -315,7 +325,7 @@ class TestNewtonAcceptance:
         # a tolerance the bound misses but the next correction meets
         monkeypatch.setattr(vi, "NEWTON_TOL", np.sqrt(dq * bound))
         corrections.clear()
-        _, report = implicit_position_solve(state.q, state.p, cfg, system, params)
+        _, _, report = VIIntegrator(system, params, cfg).solve_position(state.q, state.p)
         assert report.newton_iters == len(corrections) == 2
         assert np.max(np.abs(corrections[-1][0])) < vi.NEWTON_TOL * np.min(system.d)
 
@@ -424,7 +434,7 @@ class TestStepWork:
         # iterate; a fresh evaluation differs by its own roundoff, mostly
         # from forming q_{k+1} - q_k and M (q_{k+1} - q_k) / h
         fresh = residual(prev.q, state.q, prev.p, cfg, system, params)
-        mass = assemble_mass_matrix(system).diag
+        mass = assemble_mass_matrix(system)
         roundoff = 16 * np.finfo(float).eps * (
             np.max(mass * np.abs(state.q)) / cfg.h + np.max(np.abs(prev.p))
             + cfg.h * np.max(system.m) * system.gravity)
@@ -478,7 +488,7 @@ class TestCoupledSplit:
         assert free[-18:].all()
         d_delta, _, r_lin = integ._newton_solver(s)(r)
         inv_inertia = integ._precond     # (M/h)^-1, CG's preconditioner
-        npt.assert_allclose(inv_inertia, integ.cfg.h / integ.mass.diag, rtol=1e-15)
+        npt.assert_allclose(inv_inertia, integ.cfg.h / integ.mass, rtol=1e-15)
         npt.assert_array_equal(d_delta[free], r[free] * inv_inertia[free])
         npt.assert_array_equal(r_lin[free], 0.0)
 
@@ -613,7 +623,7 @@ class TestSolverPath:
         s = ParticleSystem([[0, 0, 0.45]], walls=[floor], gravity=1.0)
         quasi_static_solve(pack_state(s).q, s, UNDAMPED)
         # the stepper's is the inverse of -K's inertial part, M/h
-        inertia = assemble_mass_matrix(system).diag / cfg.h
+        inertia = assemble_mass_matrix(system) / cfg.h
         assert precond["step"]
         for p in precond["step"]:
             npt.assert_allclose(p, 1.0 / inertia, rtol=1e-15)
