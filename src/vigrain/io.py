@@ -37,7 +37,7 @@ _SCHEMA = {
     "max_collisions": (int, lambda v: v >= 1, ">= 1"),
     "trajectory_every": (int, lambda v: v >= 1, ">= 1"),
     "diagnostics_every": (int, lambda v: v >= 1, ">= 1"),
-    "seed": (int, lambda v: True, ""),
+    "seed": (int, lambda v: v >= 0, ">= 0"),
 }
 
 

@@ -41,6 +41,20 @@ force is evaluated again. At alpha = 0 the first residual also reuses
 Q(q_k, v_k), because D_0 / h = v_k, so a step makes one detection,
 one gradient, one damping force, one dQ/dv and one CG solve.
 
+Which vectors span all 6N DOFs, and which only the coupled ones: D,
+M D, p_k and the forces as the forces module returns them are 6N. A
+residual evaluation (the first pass, and each re-detecting pass) forms
+r on all 6N DOFs as p_k - M D / h less gravity's h (1-a) m g, a
+constant of the integrator; that is all of r on a body no row touches,
+and the rows' terms -h (1-a) grad V + (h/2) Q(q_k + a D, D/h)
++ (h/2) Q(q_k, M^-1 p_k) are added on the coupled DOFs only. After a
+correction on a fixed set, r is kept on the coupled DOFs only, and a
+further correction changes D only there. The test's force scale is the
+largest |grad V| and |Q| over the coupled DOFs, computed once per
+evaluation, with |p_k| / h, |Q(q_k, M^-1 p_k)| and m_max |g|, which
+bounds |grad V| on every other body; |M D| / h^2 joins it only when
+the rest does not already pass r.
+
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
 NEWTON_TOL d: either the last correction was that small, or the
@@ -148,6 +162,12 @@ class VIIntegrator:
         self._m_over_h = (1.0 / cfg.h) * self.mass
         self._precond = 1.0 / self._m_over_h   # CG's, the same for every -K
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
+        # h (1-a) grad V on the z DOFs of a body no contact row touches,
+        # where grad V is m g; m.max() |g| bounds |grad V| there
+        g = system.gravity
+        self._gravity_term = ((cfg.h * (1.0 - cfg.alpha)) * (system.m * g)
+                              if g != 0.0 else None)
+        self._weight = system.m.max() * abs(g)
 
     # -- contact evaluation ------------------------------------------------
 
@@ -156,29 +176,58 @@ class VIIntegrator:
         return self.nlist.contacts_at(q)
 
     def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
-        """Contacts at q_k (when a caller needs them) and Q(q_k, v_k)."""
-        if not (self._damped or self.cfg.alpha == 0.0):
-            return None, np.zeros_like(q_k)  # undamped midpoint rule never reads them
+        """(s_k, Q(q_k, v_k), explicit): the contacts at q_k (when a caller
+        needs them), the damping force on them, and the same force as
+        (dofs, values) on the DOFs of the bodies they couple, off which it
+        is zero. The force is None when undamped; explicit is None then,
+        and also when no row touches a body."""
+        if not self._damped:
+            # the undamped midpoint rule never reads the contacts at q_k
+            return (self.contacts_at(q_k) if self.cfg.alpha == 0.0 else None,
+                    None, None)
         s_k = self.contacts_at(q_k)
-        q_plus = (_forces.nonconservative_force(self.system, s_k, vel_k, self.params)
-                  if self._damped else np.zeros_like(q_k))
-        return s_k, q_plus
+        q_plus = _forces.nonconservative_force(self.system, s_k, vel_k, self.params)
+        if not len(s_k):
+            return s_k, q_plus, None
+        dofs, _ = s_k.coupled()
+        return s_k, q_plus, (dofs, q_plus[dofs])
 
-    def _residual(self, p_k, delta, q_plus, s_mid: ContactSet, q_minus=None):
+    def _residual(self, p_k, delta, explicit, s_mid: ContactSet, q_minus=None):
         """Step residual at the displacement delta on the midpoint set s_mid,
-        with q_minus = Q(s_mid, delta / h) when the caller already has it.
-        Returns (r, grad V(q_mid), Q(s_mid, delta / h), M delta)."""
-        h, alpha = self.cfg.h, self.cfg.alpha
+        with explicit = Q(q_k, v_k) on its DOFs (see _explicit_damping)
+        and q_minus = Q(s_mid, delta / h) when the caller already has it.
+
+        p_k - M delta / h less gravity's h (1-a) m g is the whole residual
+        on a body no row of s_mid touches, and is formed on all 6N DOFs;
+        the rows' terms are added on the coupled DOFs only. Returns
+        (r, grad V(q_mid), M delta, max |grad V| and max |Q(s_mid, delta / h)|
+        over the coupled DOFs)."""
+        h = self.cfg.h
         grad_mid = _forces.potential_gradient(self.system, s_mid, self.params)
-        if q_minus is None:
-            q_minus = (_forces.nonconservative_force(self.system, s_mid,
-                                                     delta / h, self.params)
-                       if self._damped else np.zeros_like(delta))
+        if q_minus is None and self._damped:
+            q_minus = _forces.nonconservative_force(self.system, s_mid,
+                                                    delta / h, self.params)
         m_delta = self.mass * delta
-        r = (p_k - m_delta / h
-             - h * (1.0 - alpha) * grad_mid
-             + 0.5 * h * q_minus + 0.5 * h * q_plus)
-        return r, grad_mid, q_minus, m_delta
+        r = p_k - m_delta / h
+        if self._gravity_term is not None:
+            r[2::BLOCK] -= self._gravity_term
+        scales = (0.0, 0.0)
+        if len(s_mid):
+            # the whole residual on the coupled DOFs, where grad V holds gravity
+            dofs, _ = s_mid.coupled()
+            grad_c = grad_mid[dofs]
+            r_c = (p_k[dofs] - m_delta[dofs] / h
+                   - (h * (1.0 - self.cfg.alpha)) * grad_c)
+            q_scale = 0.0
+            if q_minus is not None:
+                q_c = q_minus[dofs]
+                r_c += (0.5 * h) * q_c
+                q_scale = float(np.abs(q_c).max())
+            r[dofs] = r_c
+            scales = (float(np.abs(grad_c).max()), q_scale)
+        if explicit is not None:
+            r[explicit[0]] += (0.5 * h) * explicit[1]
+        return r, grad_mid, m_delta, scales
 
     # -- one implicit step ---------------------------------------------------
 
@@ -186,38 +235,47 @@ class VIIntegrator:
         """Newton loop on the displacement; returns (q_{k+1}, p_{k+1}, report)."""
         h, alpha = self.cfg.h, self.cfg.alpha
         vel_k = p_k / self.mass
-        s_k, q_plus = self._explicit_damping(q_k, vel_k)
+        s_k, q_plus, explicit = self._explicit_damping(q_k, vel_k)
 
         delta = h * vel_k
         frozen = (alpha == 0.0)
         s_mid = s_k if frozen else self.contacts_at(q_k + alpha * delta)
         # at alpha = 0, Q(s_k, delta_0 / h) is Q(s_k, v_k) = q_plus
-        r, grad_mid, q_minus, m_delta = self._residual(
-            p_k, delta, q_plus, s_mid, q_plus if frozen else None)
+        r, grad_mid, m_delta, (g_scale, q_scale) = self._residual(
+            p_k, delta, explicit, s_mid, q_plus if frozen else None)
+        on_coupled = False     # whether r holds s_mid's coupled DOFs only
         k_set = None     # the contact set -K was built from
-        last_dq = np.inf
+        d_delta = None   # the last correction
         cg_total = corrections = 0
         newton_tol = NEWTON_TOL * self.nlist.d
+        r_tol = RESIDUAL_SCALE_TOL * h
         # force scales that do not change over the Newton passes
-        fixed_scale = max(float(np.abs(q_plus).max(initial=0.0)),
+        fixed_scale = max(0.0 if explicit is None
+                          else float(np.abs(explicit[1]).max()),
                           float(np.abs(p_k).max(initial=0.0)) / h,
-                          self.system.m.max() * abs(self.system.gravity),
-                          1e-300)
+                          self._weight, 1e-300)
+        scale = max(g_scale, q_scale, fixed_scale)
 
         while True:
+            # the test is |r| <= r_tol max(scale, |M D| / h^2); M D is
+            # formed only when the forces' scale alone does not pass r
             r_norm = float(np.abs(r).max(initial=0.0))
-            fscale = max(float(np.abs(grad_mid).max(initial=0.0)),
-                         float(np.abs(q_minus).max(initial=0.0)),
-                         float(np.abs(m_delta).max(initial=0.0)) / h ** 2,
-                         fixed_scale)
-            tol_r = RESIDUAL_SCALE_TOL * h * fscale
-            if r_norm <= tol_r and (
-                    corrections == 0 or last_dq < newton_tol
+            small = r_norm <= r_tol * scale
+            if not small:
+                if m_delta is None:
+                    m_delta = self.mass * delta
+                small = r_norm <= r_tol * (float(np.abs(m_delta).max(initial=0.0))
+                                           / h ** 2)
+            if small and (
+                    corrections == 0
                     or (s_mid is k_set and float(np.linalg.norm(r))
-                        * self._inv_k_bound < newton_tol)):
+                        * self._inv_k_bound < newton_tol)
+                    or float(np.abs(d_delta).max(initial=0.0)) < newton_tol):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 q_next = q_k + delta
-                p_next = self.mass * (q_next - q_k) / h - h * alpha * grad_mid
+                p_next = self.mass * (q_next - q_k) / h
+                if alpha != 0.0:
+                    p_next -= h * alpha * grad_mid
                 return q_next, p_next, report
             if corrections >= NEWTON_MAX:
                 raise StepFailureError(
@@ -225,42 +283,49 @@ class VIIntegrator:
                     residual=r_norm, iterations=corrections)
             if s_mid is not k_set:
                 k_set, newton_solve = s_mid, self._newton_solver(s_mid)
-            d_delta, it, r_lin = newton_solve(r)
-            delta = delta + d_delta
-            last_dq = float(np.abs(d_delta).max(initial=0.0))
+            d_delta, it, r_c = newton_solve(r, on_coupled)
+            if on_coupled:
+                delta[s_mid.coupled()[0]] += d_delta
+            else:
+                delta = delta + d_delta
             cg_total += it
             corrections += 1
             frozen = frozen or corrections >= N_FREEZE
             if frozen:
                 # affine residual: Q(s_mid, delta / h) is not formed, and
-                # leaving it out of fscale only tightens the test
-                r, q_minus, m_delta = r_lin, 0.0, self.mass * delta
+                # leaving it out of the scale only tightens the test
+                r, on_coupled, m_delta = r_c, True, None
+                scale = max(g_scale, fixed_scale)
             else:
                 s_mid = self.contacts_at(q_k + alpha * delta)
-                r, grad_mid, q_minus, m_delta = self._residual(
-                    p_k, delta, q_plus, s_mid)
+                r, grad_mid, m_delta, (g_scale, q_scale) = self._residual(
+                    p_k, delta, explicit, s_mid)
+                on_coupled = False
+                scale = max(g_scale, q_scale, fixed_scale)
 
     def _newton_solver(self, s_mid: ContactSet):
-        """The Newton correction on the set s_mid as a function of r,
-        returning (dD, CG iterations, r - (-K) dD).
+        """The Newton correction on the set s_mid as a function of the
+        residual r, returning (dD, CG iterations, r - (-K) dD on the
+        DOFs of the bodies a row of s_mid couples).
 
-        On a body no row touches, -K is its inertial block M/h, so
-        dD = (M/h)^-1 r there; CG solves only the coupled bodies' block,
-        to CG_TOL relative to the whole of r, and the residual it hands
-        back is zero on the other bodies."""
+        r and dD cover all 6N DOFs, or, when coupled is true, those
+        coupled DOFs only, r being zero on the others. On a body no row
+        touches, -K is its inertial block M/h, so dD = (M/h)^-1 r there
+        and r - (-K) dD is zero; CG solves only the coupled bodies'
+        block, to CG_TOL relative to the whole of r."""
         dofs, rows = s_mid.coupled()
         a_op = self._neg_stiffness(rows, self._m_over_h[dofs])
         precond = self._precond[dofs]
 
-        def solve(r):
+        def solve(r, coupled=False):
+            if coupled:
+                return cg_solve(a_op, r, tol=CG_TOL, precond=precond)
             d_delta = r * self._precond
             r_c = r[dofs]
             r_c_norm = np.linalg.norm(r_c)
             tol = CG_TOL * np.linalg.norm(r) / r_c_norm if r_c_norm else CG_TOL
             d_delta[dofs], it, r_c = cg_solve(a_op, r_c, tol=tol, precond=precond)
-            r_lin = np.zeros_like(r)
-            r_lin[dofs] = r_c
-            return d_delta, it, r_lin
+            return d_delta, it, r_c
         return solve
 
     def _neg_stiffness(self, s: ContactSet, m_over_h) -> BlockSparseMatrix:
@@ -307,8 +372,8 @@ def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
     delta = np.asarray(q_k1_guess, dtype=float).ravel() - q_k
     p_k = np.asarray(p_k, dtype=float).ravel()
     s_mid = integ.contacts_at(q_k + cfg.alpha * delta)
-    _, q_plus = integ._explicit_damping(q_k, p_k / integ.mass)
-    return integ._residual(p_k, delta, q_plus, s_mid)[0]
+    _, _, explicit = integ._explicit_damping(q_k, p_k / integ.mass)
+    return integ._residual(p_k, delta, explicit, s_mid)[0]
 
 
 def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):

@@ -348,6 +348,37 @@ class TestDetectContacts:
         npt.assert_allclose(got.delta, [0.04 * skin], rtol=0, atol=ROUNDOFF)
 
 
+class TestDistanceKernel:
+    """The boundaries of detection's pair distance test, dist < d."""
+
+    def detect(self, system):
+        return detect_contacts(system, NeighborList.build(system))
+
+    def test_pair_exactly_d_apart_has_no_row(self):
+        assert len(self.detect(two_particles(1.0))) == 0
+
+    def test_pair_one_ulp_inside_d_has_a_row(self):
+        gap = np.nextafter(1.0, 0.0)
+        contacts = self.detect(two_particles(gap))
+        assert contacts.n_pp == len(contacts) == 1
+        assert contacts.delta[0] == 1.0 - np.sqrt(gap * gap) > 0.0
+        npt.assert_array_equal(contacts.normal, [[-1.0, 0.0, 0.0]])
+
+    def test_bond_stretched_to_three_diameters_has_a_row(self):
+        s = two_particles(3.0)
+        s.bonds = [Bond(0, 1, 5.0)]
+        contacts = self.detect(s)
+        assert contacts.n_bond == len(contacts) == 1
+        assert contacts.delta[0] == -2.0
+        npt.assert_array_equal(contacts.arm, [[-3.0, 0.0, 0.0]])
+
+    def test_coincident_centres_name_both_particles(self):
+        s = ParticleSystem([[5.0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(SingularGeometryError,
+                           match="particles 1 and 2 have coincident centers"):
+            self.detect(s)
+
+
 class TestCoupledBodies:
     def contacts(self):
         """Body 0 touches only the floor, bodies 1 and 2 share only a bond

@@ -49,6 +49,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trajectory_every"):
             parse_config('{"scenario": "impact", "trajectory_every": 0}')
 
+    @pytest.mark.parametrize("name", ["box", "impact"])
+    def test_negative_seed_named(self, name):
+        # a scenario that draws no random numbers rejects it too
+        with pytest.raises(ConfigError,
+                           match="config key 'seed' out of range: expected >= 0"):
+            parse_config(f'{{"scenario": "{name}", "seed": -1}}')
+
     @pytest.mark.parametrize("key, value", [
         ("h_fraction", "Infinity"), ("duration", "Infinity"),
         ("box_size", "Infinity"), ("gamma", "Infinity"), ("gap", "Infinity"),

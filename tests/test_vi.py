@@ -16,6 +16,7 @@ from vigrain.analytic import (ImpactParams, contact_phase_velocity,
 from vigrain import forces
 from vigrain.forces import STIFFNESS_RATIO, contact_time, nonconservative_force
 from vigrain.contact import detect_contacts_brute_force
+from vigrain.linsolve import BLOCK
 
 from conftest import count_calls, dense, fd_gradient, random_system
 
@@ -320,7 +321,7 @@ class TestNewtonAcceptance:
         assert report.newton_iters == 1
         # the stepper tests the residual its correction left on all 6N DOFs
         dq, bound = forced_correction(state.q, state.p, q1, cfg, system, params,
-                                      r=corrections[-1][2])
+                                      r=left_on_all_dofs(corrections[-1]))
         assert dq < bound
         # a tolerance the bound misses but the next correction meets
         monkeypatch.setattr(vi, "NEWTON_TOL", np.sqrt(dq * bound))
@@ -365,21 +366,34 @@ def spy_cg(monkeypatch):
 
 
 def spy_corrections(monkeypatch):
-    """Log what every Newton correction the stepper makes returns on all
-    6N DOFs: (dD, CG iterations, the residual r - (-K) dD)."""
+    """Log every Newton correction the stepper makes: what it returns,
+    (dD, CG iterations, the residual r - (-K) dD on the DOFs of the
+    bodies a row couples), and the contact set -K was built from."""
     corrections = []
     newton_solver = VIIntegrator._newton_solver
 
     def spy(integ, s_mid):
         solve = newton_solver(integ, s_mid)
 
-        def logged(r):
-            corrections.append(solve(r))
-            return corrections[-1]
+        def logged(r, coupled=False):
+            out = solve(r, coupled)
+            corrections.append((*out, s_mid))
+            return out
         return logged
 
     monkeypatch.setattr(VIIntegrator, "_newton_solver", spy)
     return corrections
+
+
+def left_on_all_dofs(correction):
+    """The residual a logged correction left, on all 6N DOFs: CG's on the
+    coupled DOFs, and zero on the others, where the solve is exact."""
+    _, _, r_c, s_mid = correction
+    dofs, _ = s_mid.coupled()
+    assert r_c.shape == dofs.shape
+    r = np.zeros(BLOCK * s_mid.n_bodies)
+    r[dofs] = r_c
+    return r
 
 
 class TestContactCache:
@@ -434,11 +448,41 @@ class TestStepWork:
         # iterate; a fresh evaluation differs by its own roundoff, mostly
         # from forming q_{k+1} - q_k and M (q_{k+1} - q_k) / h
         fresh = residual(prev.q, state.q, prev.p, cfg, system, params)
-        mass = assemble_mass_matrix(system)
-        roundoff = 16 * np.finfo(float).eps * (
-            np.max(mass * np.abs(state.q)) / cfg.h + np.max(np.abs(prev.p))
-            + cfg.h * np.max(system.m) * system.gravity)
-        npt.assert_allclose(corrections[0][2], fresh, rtol=0, atol=roundoff)
+        npt.assert_allclose(left_on_all_dofs(corrections[0]), fresh, rtol=0,
+                            atol=step_roundoff(prev, state, cfg, system))
+
+
+def step_roundoff(prev, state, cfg, system):
+    """The roundoff of a fresh evaluation of the step residual."""
+    mass = assemble_mass_matrix(system)
+    return 16 * np.finfo(float).eps * (
+        np.max(mass * np.abs(state.q)) / cfg.h + np.max(np.abs(prev.p))
+        + cfg.h * np.max(system.m) * system.gravity)
+
+
+class TestFrozenPasses:
+    def test_alpha_half_frozen_residual_is_the_cg_residual(self, monkeypatch):
+        # after N_FREEZE corrections the midpoint set is frozen, and the
+        # residual a correction leaves is CG's on the coupled DOFs: the
+        # step residual on that set at the new iterate, zero elsewhere
+        monkeypatch.setattr(vi, "N_FREEZE", 1)
+        system, params, cfg = pressed_box()
+        cfg = VIConfig(h=cfg.h, alpha=0.5)
+        integ = VIIntegrator(system, params, cfg)
+        corrections = spy_corrections(monkeypatch)
+        state = pack_state(system)
+        for _ in range(10):
+            corrections.clear()
+            prev = state
+            state, report = integ.step(prev)
+            assert report.newton_iters == len(corrections) >= 1
+            s_frozen = corrections[-1][3]
+            assert all(c[3] is s_frozen for c in corrections)
+            assert len(s_frozen) > 0 and s_frozen.n_wall > 0
+            _, _, explicit = integ._explicit_damping(prev.q, prev.p / integ.mass)
+            fresh = integ._residual(prev.p, state.q - prev.q, explicit, s_frozen)[0]
+            npt.assert_allclose(left_on_all_dofs(corrections[-1]), fresh, rtol=0,
+                                atol=step_roundoff(prev, state, cfg, system))
 
 
 def with_free_bodies(system, seed):
@@ -470,7 +514,7 @@ class TestCoupledSplit:
         dofs, _ = s.coupled()
         assert s.n_bond > 0 and s.n_wall > 0
         assert 0 < dofs.size < r.size
-        d_delta, _, r_lin = integ._newton_solver(s)(r)
+        d_delta, _, r_c = integ._newton_solver(s)(r)
         neg_k = integ._neg_stiffness(s, integ._m_over_h)
         want, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, precond=integ._precond)
         # each meets |r - (-K) x| <= CG_TOL |r|, and |(-K)^-1| <= h / min(diag M)
@@ -478,7 +522,26 @@ class TestCoupledSplit:
         npt.assert_allclose(d_delta, want, rtol=0, atol=err)
         true_r = r - neg_k.matvec(d_delta)
         assert np.linalg.norm(true_r) <= 1.01 * vi.CG_TOL * np.linalg.norm(r)
-        npt.assert_allclose(r_lin, true_r, rtol=0, atol=1e-3 * vi.CG_TOL * np.linalg.norm(r))
+        free = np.setdiff1d(np.arange(r.size), dofs)
+        atol = 1e-3 * vi.CG_TOL * np.linalg.norm(r)
+        npt.assert_allclose(r_c, true_r[dofs], rtol=0, atol=atol)
+        npt.assert_allclose(true_r[free], 0.0, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_correction_from_a_coupled_residual(self, seed, damped_params):
+        # a residual zero off the coupled DOFs is handed over on them
+        # alone, and the correction comes back on them alone
+        integ, s, r = self.split(seed, damped_params)
+        dofs, _ = s.coupled()
+        r_full = np.zeros_like(r)
+        r_full[dofs] = r[dofs]
+        d_c, it_c, r_c = integ._newton_solver(s)(r[dofs], coupled=True)
+        d_full, it_full, r_c_full = integ._newton_solver(s)(r_full)
+        assert d_c.shape == r_c.shape == dofs.shape
+        assert it_c == it_full
+        npt.assert_array_equal(d_full[dofs], d_c)
+        npt.assert_array_equal(d_full[np.setdiff1d(np.arange(r.size), dofs)], 0.0)
+        npt.assert_array_equal(r_c_full, r_c)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bodies_on_no_row_are_solved_by_the_inertia(self, seed, damped_params):
@@ -486,11 +549,12 @@ class TestCoupledSplit:
         free = np.ones(r.size, dtype=bool)
         free[s.coupled()[0]] = False
         assert free[-18:].all()
-        d_delta, _, r_lin = integ._newton_solver(s)(r)
+        d_delta, _, r_c = integ._newton_solver(s)(r)
         inv_inertia = integ._precond     # (M/h)^-1, CG's preconditioner
         npt.assert_allclose(inv_inertia, integ.cfg.h / integ.mass, rtol=1e-15)
         npt.assert_array_equal(d_delta[free], r[free] * inv_inertia[free])
-        npt.assert_array_equal(r_lin[free], 0.0)
+        # the residual left is CG's, and it covers exactly the coupled DOFs
+        assert r_c.shape == (np.count_nonzero(~free),)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_renumbered_rows_act_as_the_full_rows(self, seed, damped_params):
