@@ -31,6 +31,7 @@ from .linsolve import BLOCK
 from .model import Bond, ParticleSystem
 
 DEFAULT_SKIN_FACTOR = 0.3
+_EXPANDED = 2 ** 15   # particle pairs a candidate build expands at a time
 
 # cell offsets of a half shell, self first: (0, 0, 0) and the 13 that
 # follow it in lexicographic order, so each neighbouring cell pair is
@@ -44,21 +45,22 @@ class NeighborList:
     the candidate rows of the last build (unbonded pairs closer than
     d + skin, the bonds, (particle, wall) pairs closer than d/2 + skin),
     a superset of the contacts while no particle has moved skin/2.
-    It keeps the diameter and the masses it detects with, and its own
-    (n, 3) buffer of the centres it last detected at.
+    It keeps the diameter and the masses it detects with, its own buffer
+    of the centres it last detected at, as three contiguous columns
+    (3, n), and detection's work arrays, sized at each build.
     """
 
     def __init__(self, system: ParticleSystem, pairs: np.ndarray, skin: float):
         self.skin = float(skin)
         self.d, self.m = float(system.d[0]), system.m
-        self.pos = system.pos.copy()
+        self.cols = system.pos.T.copy()
         self.normals = np.array([w.normal for w in system.walls]).reshape(-1, 3)
         self.offsets = np.array([w.point @ w.normal for w in system.walls])
         self.bonds = np.array([(b.i, b.j) for b in system.bonds],
                               dtype=np.int64).reshape(-1, 2)
         self.k_bond = np.array([b.k_bond for b in system.bonds])
-        self._q = None            # the configuration of the cached set
-        self._contacts = None
+        self._spare = np.empty_like(self.cols)   # where the next centres land
+        self._contacts = None     # the set detected at cols
         self._hold(system.pos, pairs)
 
     def _hold(self, pos: np.ndarray, pairs: np.ndarray) -> None:
@@ -73,9 +75,15 @@ class NeighborList:
         rows = np.concatenate([pairs, self.bonds]) if self.bonds.size else pairs
         self.ends = np.ascontiguousarray(rows.T)
         self.pairs = self.ends[:, :len(pairs)].T
+        # detection's work arrays, one (3, m) gather per end and the
+        # squared distances, so that no detection allocates them
+        self.work = np.empty((2, 3, rows.shape[0])), np.empty(rows.shape[0])
         gap = pos @ self.normals.T - self.offsets - 0.5 * self.d
-        self.wall_rows = (gap < self.skin).nonzero()   # sorted by (i, wall)
-        self.ref_pos = pos.copy()
+        # the (particle, wall) candidates, sorted by (i, wall), each with
+        # its wall's normal and offset
+        self.wall_i, widx = (gap < self.skin).nonzero()
+        self.wall_normals, self.wall_offsets = self.normals[widx], self.offsets[widx]
+        self.ref_cols = pos.T.copy()
 
     @classmethod
     def build(cls, system: ParticleSystem, skin: float | None = None) -> "NeighborList":
@@ -126,22 +134,30 @@ class NeighborList:
         off, a = np.nonzero(cells[slot] == target)
         b = slot[off, a]
 
-        # expand each cell pair into its count[a] * count[b] particle pairs;
-        # each expanded array is about 1 MB at N = 4000, so none outlives
-        # its use
+        # expand each cell pair into its count[a] * count[b] particle pairs,
+        # the cell pairs taken in runs of about _EXPANDED pairs, so the
+        # expanded arrays stay small whatever N (150k pairs at N = 4000)
         size = count[a] * count[b]
-        row, col = np.divmod(np.arange(size.sum())
-                             - np.repeat(np.cumsum(size) - size, size),
-                             np.repeat(count[b], size))
-        si = np.repeat(start[a], size) + row
-        del row
-        sj = np.repeat(start[b], size) + col
-        del col
-        keep = (si < sj) | np.repeat(off > 0, size)   # a pair within a cell once
-        si, sj = si[keep], sj[keep]
-        # a cheap cut that keeps every pair within the edge, then the exact test
-        keep = sum((c[si] - c[sj]) ** 2 for c in pos[order].T.copy()) < edge * edge
-        i, j = order[si[keep]], order[sj[keep]]
+        first = np.cumsum(size) - size
+        runs = [0, *(np.flatnonzero(np.diff(first // _EXPANDED)) + 1).tolist(), a.size]
+        cols = pos[order].T.copy()
+        found = []
+        for lo, hi in zip(runs, runs[1:]):
+            part = size[lo:hi]
+            row, col = np.divmod(np.arange(part.sum())
+                                 - np.repeat(first[lo:hi] - first[lo], part),
+                                 np.repeat(count[b[lo:hi]], part))
+            si = np.repeat(start[a[lo:hi]], part) + row
+            sj = np.repeat(start[b[lo:hi]], part) + col
+            del row, col
+            keep = (si < sj) | np.repeat(off[lo:hi] > 0, part)  # a pair within a cell once
+            si, sj = si[keep], sj[keep]
+            # a cheap cut that keeps every pair within the edge
+            keep = sum((c[si] - c[sj]) ** 2 for c in cols) < edge * edge
+            found.append((si[keep], sj[keep]))
+        si, sj = (np.concatenate(ends) for ends in zip(*found))
+        # then the exact test
+        i, j = order[si], order[sj]
         i, j = np.minimum(i, j), np.maximum(i, j)
         near = np.linalg.norm(pos[i] - pos[j], axis=1) < d + skin
         i, j = i[near], j[near]
@@ -149,11 +165,13 @@ class NeighborList:
         return np.stack([i[by_ij], j[by_ij]], axis=1)
 
     def is_valid(self, pos: np.ndarray) -> bool:
-        if pos.shape != self.ref_pos.shape:
+        """Whether no centre of pos, (n, 3), has moved skin/2 since the build."""
+        if pos.T.shape != self.ref_cols.shape:
             return False
-        dx, dy, dz = (pos - self.ref_pos).T
-        # sqrt is monotone, so one root of the largest square decides
-        moved2 = np.max(dx * dx + dy * dy + dz * dz, initial=0.0)
+        moved = pos.T - self.ref_cols
+        # einsum sums the squares in the order of a row sum; sqrt is
+        # monotone, so one root of the largest square decides
+        moved2 = np.einsum("dc,dc->c", moved, moved).max(initial=0.0)
         return bool(np.sqrt(moved2) < 0.5 * self.skin)
 
     def rebuild(self, pos: np.ndarray) -> None:
@@ -161,14 +179,17 @@ class NeighborList:
         self._hold(pos, self._candidate_pairs(pos, self.d, self.skin))
 
     def contacts_at(self, q: np.ndarray) -> "ContactSet":
-        """Contacts with the centres at q, rebuilding a stale list; an
-        equal q returns the last set."""
-        if self._q is None or not np.array_equal(q, self._q):
-            self.pos[:] = q.reshape(-1, BLOCK)[:, :3]
-            if not self.is_valid(self.pos):
-                self.rebuild(self.pos)
-            self._contacts = _detect_unchecked(self.pos, self)
-            self._q = np.array(q, dtype=float)
+        """Contacts with the centres at q, rebuilding a stale list; the
+        same centres return the last set."""
+        # the centres' columns straight from q, beside the last ones
+        cols = self._spare
+        np.copyto(cols, q.reshape(-1, BLOCK)[:, :3].T)
+        if self._contacts is None or not np.array_equal(cols, self.cols):
+            pos = cols.T
+            if not self.is_valid(pos):
+                self.rebuild(cols.T.copy())
+            self._contacts = _detect_unchecked(pos, self)
+            self._spare, self.cols = self.cols, cols
         return self._contacts
 
 
@@ -211,11 +232,14 @@ class ContactSet:
     bond rows. Every wall row's partner is the ghost body j = n_bodies,
     the world at rest; per-body arrays get one ghost row after the
     bodies, which is dropped once contributions have been summed.
+    bodies holds the system's ids of a set renumbered onto some of its
+    bodies (see coupled), and is None when body b is the system's body b.
     """
 
     def __init__(self, n_bodies: int, i, j, delta, normal, arm, m_eff, k,
-                 n_pp: int):
+                 n_pp: int, bodies: np.ndarray | None = None):
         self.n_bodies = n_bodies
+        self.bodies = bodies
         self.i, self.j = i, j
         self.delta, self.normal, self.arm = delta, normal, arm
         self.m_eff, self.k = m_eff, k
@@ -280,7 +304,10 @@ class ContactSet:
     def coupled(self) -> tuple[np.ndarray, "ContactSet"]:
         """The 6-DOF indices of the bodies on some row, and the same rows
         renumbered onto those bodies; built once. The ghost's id follows
-        every body's, so it stays the ghost in the new numbering."""
+        every body's, so it stays the ghost in the new numbering. A set
+        with no row couples nothing: every such set shares one answer."""
+        if self._coupled is None and not len(self):
+            self._coupled = _UNCOUPLED
         if self._coupled is None:
             on_row = np.zeros(self.n_bodies + 1, dtype=bool)
             on_row[self.i] = on_row[self.j] = True
@@ -290,7 +317,7 @@ class ContactSet:
             rows = ContactSet(bodies.size, np.searchsorted(bodies, self.i),
                               np.searchsorted(bodies, self.j),
                               self.delta, self.normal, self.arm, self.m_eff,
-                              self.k, self.n_pp)
+                              self.k, self.n_pp, bodies)
             self._coupled = (BLOCK * bodies[:, None] + np.arange(BLOCK)).ravel(), rows
         return self._coupled
 
@@ -308,6 +335,12 @@ class ContactSet:
         omg_sum = omg.take(i, axis=0) + omg.take(j, axis=0)
         v_t = v_rel - v_n - 0.5 * cross_rows(omg_sum, self.arm)
         return v_rel, v_n, v_t
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_UNCOUPLED = (_NO_IDS, ContactSet(0, _NO_IDS, _NO_IDS, np.empty(0), np.empty((0, 3)),
+                                  np.empty((0, 3)), np.empty(0), np.empty(0), 0,
+                                  _NO_IDS))
 
 
 def cross_rows(a, b):
@@ -334,35 +367,51 @@ def _detect_unchecked(pos: np.ndarray, nlist: NeighborList) -> ContactSet:
     is the ghost body n."""
     n, d, m = pos.shape[0], nlist.d, nlist.m
     ii, jj = nlist.ends
-    # gathers along the contiguous columns of the centres; einsum sums
-    # x, y, z in the order of a row sum
-    cols = pos.T.copy()
-    r = cols.take(ii, axis=1) - cols.take(jj, axis=1)
-    dist = np.sqrt(np.einsum("dc,dc->c", r, r))
-    if (dist < 1e-14 * d).any():
-        bad = int(np.argmin(dist))
+    # gathers along the contiguous columns of the centres (a free view
+    # when pos is the list's own buffer) into the list's work arrays;
+    # "clip" lets take write to them unbuffered, and the ends are valid
+    # ids; einsum sums x, y, z in the order of a row sum
+    cols = np.ascontiguousarray(pos.T)
+    (r, r_j), dist2 = nlist.work
+    cols.take(ii, axis=1, mode="clip", out=r)
+    cols.take(jj, axis=1, mode="clip", out=r_j)
+    r -= r_j
+    np.einsum("dc,dc->c", r, r, out=dist2)
+    # the squares keep every row with dist < d, whatever the rounding of
+    # d * d: the root and the exact tests run on those and the bonds alone
+    n_bonds = nlist.bonds.shape[0]
+    near = dist2 < (d * d) * (1.0 + 2.0 ** -40)
+    if n_bonds:
+        near[nlist.pairs.shape[0]:] = True      # bonds act at any overlap
+    rows = near.nonzero()[0]
+    dist = np.sqrt(dist2[rows])
+    # a coincident pair is nearer than d, so it is among the rows
+    if dist.min(initial=np.inf) < 1e-14 * d:
+        bad = rows[np.argmin(dist)]
         raise SingularGeometryError(
             f"particles {ii[bad]} and {jj[bad]} have coincident centers")
     keep = dist < d
-    keep[nlist.pairs.shape[0]:] = True          # bonds act at any overlap
-    ii, jj, dist = ii[keep], jj[keep], dist[keep]
-    r_ij = pos[ii] - pos[jj]
+    if n_bonds:
+        keep[rows.size - n_bonds:] = True
+    rows, dist = rows[keep], dist[keep]
+    ii, jj = ii[rows], jj[rows]
+    r_ij = r.take(rows, axis=1).T
 
-    wi, widx = nlist.wall_rows
-    wall_delta = 0.5 * d - (np.einsum("cd,cd->c", pos[wi], nlist.normals[widx])
-                            - nlist.offsets[widx])
+    wi = nlist.wall_i
+    wall_delta = 0.5 * d - (np.einsum("cd,cd->c", pos[wi], nlist.wall_normals)
+                            - nlist.wall_offsets)
     touch = wall_delta > 0.0
-    wi, widx, wall_delta = wi[touch], widx[touch], wall_delta[touch]
-    normals = nlist.normals[widx]
+    wi, wall_delta, normals = wi[touch], wall_delta[touch], nlist.wall_normals[touch]
 
-    n_pp = ii.size - nlist.bonds.shape[0]
+    n_pp = ii.size - n_bonds
+    m_i, m_j = m[ii], m[jj]
     return ContactSet(
         n, i=np.concatenate([ii, wi]),
         j=np.concatenate([jj, np.full(wi.size, n)]),
         delta=np.concatenate([d - dist, wall_delta]),
         normal=np.concatenate([r_ij / dist[:, None], normals]),
         arm=np.concatenate([r_ij, d * normals]),
-        m_eff=np.concatenate([m[ii] * m[jj] / (m[ii] + m[jj]), m[wi]]),
+        m_eff=np.concatenate([m_i * m_j / (m_i + m_j), m[wi]]),
         k=np.concatenate([np.zeros(n_pp), nlist.k_bond, np.zeros(wi.size)]),
         n_pp=n_pp)
 

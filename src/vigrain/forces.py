@@ -90,15 +90,18 @@ def potential_energy(system: ParticleSystem, contacts: ContactSet,
 
 def potential_gradient(system: ParticleSystem, contacts: ContactSet,
                        params: ContactParams) -> np.ndarray:
-    """Exact gradient of the potential with respect to q (rotations zero)."""
+    """Exact gradient of the potential with respect to q (rotations zero),
+    on the bodies of the contact set: all of the system's, or those a
+    renumbered set (ContactSet.coupled) names."""
     if len(contacts):
         k = contacts.stiffness(params.k_n)
         g = (-k * contacts.delta)[:, None] * contacts.normal
         grad = contacts.per_body(g, 0, opposite=True)
     else:
-        grad = np.zeros(BLOCK * system.n)
+        grad = np.zeros(BLOCK * contacts.n_bodies)
     if system.gravity != 0.0:
-        grad[2::BLOCK] += system.m * system.gravity
+        m = system.m if contacts.bodies is None else system.m[contacts.bodies]
+        grad[2::BLOCK] += m * system.gravity
     return grad
 
 
@@ -128,10 +131,11 @@ def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
 
     Geometry comes from the contact set; only the velocity split is
     recomputed, so the same set can be evaluated at several velocities.
-    Wall contacts act on the particle side only.
+    Wall contacts act on the particle side only. The velocity and the
+    force cover the set's bodies (see potential_gradient).
     """
     if not len(contacts):
-        return np.zeros(BLOCK * system.n)
+        return np.zeros(BLOCK * contacts.n_bodies)
     return _damping(contacts, *_dashpots(contacts, params),
                     np.asarray(velocity, dtype=float))
 

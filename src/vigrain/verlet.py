@@ -43,7 +43,7 @@ class VerletIntegrator:
         self._neg_grad = None
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
-        """Contacts with the centres at q; an equal q reuses the last set."""
+        """Contacts with the centres at q; the same centres reuse the last set."""
         return self.nlist.contacts_at(q)
 
     def _force(self, q: np.ndarray, velocity: np.ndarray) -> np.ndarray:

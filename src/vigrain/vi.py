@@ -41,19 +41,27 @@ force is evaluated again. At alpha = 0 the first residual also reuses
 Q(q_k, v_k), because D_0 / h = v_k, so a step makes one detection,
 one gradient, one damping force, one dQ/dv and one CG solve.
 
-Which vectors span all 6N DOFs, and which only the coupled ones: D,
-M D, p_k and the forces as the forces module returns them are 6N. A
-residual evaluation (the first pass, and each re-detecting pass) forms
-r on all 6N DOFs as p_k - M D / h less gravity's h (1-a) m g, a
-constant of the integrator; that is all of r on a body no row touches,
-and the rows' terms -h (1-a) grad V + (h/2) Q(q_k + a D, D/h)
-+ (h/2) Q(q_k, M^-1 p_k) are added on the coupled DOFs only. After a
-correction on a fixed set, r is kept on the coupled DOFs only, and a
-further correction changes D only there. The test's force scale is the
-largest |grad V| and |Q| over the coupled DOFs, computed once per
-evaluation, with |p_k| / h, |Q(q_k, M^-1 p_k)| and m_max |g|, which
-bounds |grad V| on every other body; |M D| / h^2 joins it only when
-the rest does not already pass r.
+Which vectors span all 6N DOFs, and which only the active ones: D, q
+and p are 6N, and so is the initial guess h M^-1 p_k; nothing else is.
+A body on no row of the step's sets (the midpoint set and, when damped,
+the set at q_k) has the linear residual p_k - M D / h - h (1-a) m g e_z,
+whose exact solution is the closed form D = h v_k - h^2 (1-a) g e_z:
+the first correction writes it with one per-body constant, (M/h)^-1
+times gravity's term. The residual is formed only on the active DOFs:
+those the step's sets couple, and at alpha = 1/2 those a set of an
+earlier pass coupled. Off them it is -h (1-a) m g on z before the first
+correction and zero after it, so the largest |r| and the 2-norm in CG's
+tolerance come from per-body constants there, and the gradient and the
+damping force are evaluated on the rows renumbered onto the coupled
+bodies (ContactSet.coupled). After a correction on a fixed set, r is
+kept on the coupled DOFs only, and a further correction changes D only
+there. The test's force scale is the largest |grad V| and |Q| over the
+coupled DOFs, computed once per evaluation, with |p_k| / h,
+|Q(q_k, M^-1 p_k)| and m_max |g|, which bounds |grad V| on every other
+body; |M D| / h^2 joins it after a correction, only when the rest does
+not already pass r (before one, M D_0 / h^2 is p_k / h to rounding). Of
+BLAS, the step calls only the dot products and norms of CG and of its
+tolerance and acceptance, all on the active DOFs.
 
 After a correction, an iterate is accepted when the residual passes
 its test and the next Newton correction is known to be below
@@ -162,120 +170,161 @@ class VIIntegrator:
         self._m_over_h = (1.0 / cfg.h) * self.mass
         self._precond = 1.0 / self._m_over_h   # CG's, the same for every -K
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
-        # h (1-a) grad V on the z DOFs of a body no contact row touches,
-        # where grad V is m g; m.max() |g| bounds |grad V| there
-        g = system.gravity
-        self._gravity_term = ((cfg.h * (1.0 - cfg.alpha)) * (system.m * g)
-                              if g != 0.0 else None)
+        # on a body no contact row touches, grad V is m g on z: the
+        # residual's h (1-a) m g there, the first correction's closed form
+        # (M/h)^-1 times that, and the momentum's h a m g; m.max() |g|
+        # bounds |grad V| on such a body
+        g, h, alpha = system.gravity, cfg.h, cfg.alpha
         self._weight = system.m.max() * abs(g)
+        self._gravity_term = self._free_fall = self._mid_gravity = None
+        if g != 0.0:
+            self._gravity_term = (h * (1.0 - alpha)) * (system.m * g)
+            self._free_fall = self._precond[2::BLOCK] * self._gravity_term
+            self._free_fall_max = float(np.abs(self._free_fall).max())
+            self._mid_gravity = (h * alpha) * (system.m * g)
+            self._gravity_sq_sum = float(np.sum(self._gravity_term ** 2))
+            # the largest |h (1-a) m g| first
+            self._heaviest = np.argsort(-np.abs(self._gravity_term), kind="stable")
 
     # -- contact evaluation ------------------------------------------------
 
     def contacts_at(self, q: np.ndarray) -> ContactSet:
-        """Contacts with the centres at q; an equal q reuses the last set."""
+        """Contacts with the centres at q; the same centres reuse the last set."""
         return self.nlist.contacts_at(q)
 
-    def _explicit_damping(self, q_k: np.ndarray, vel_k: np.ndarray):
-        """(s_k, Q(q_k, v_k), explicit): the contacts at q_k (when a caller
-        needs them), the damping force on them, and the same force as
-        (dofs, values) on the DOFs of the bodies they couple, off which it
-        is zero. The force is None when undamped; explicit is None then,
-        and also when no row touches a body."""
+    def _explicit_damping(self, q_k: np.ndarray, p_k: np.ndarray):
+        """(s_k, explicit): the contacts at q_k (when a caller needs them)
+        and Q(q_k, v_k) as (dofs, values) on the DOFs of the bodies they
+        couple, off which it is zero; explicit is None when undamped, and
+        when no row touches a body."""
         if not self._damped:
             # the undamped midpoint rule never reads the contacts at q_k
             return (self.contacts_at(q_k) if self.cfg.alpha == 0.0 else None,
-                    None, None)
+                    None)
         s_k = self.contacts_at(q_k)
-        q_plus = _forces.nonconservative_force(self.system, s_k, vel_k, self.params)
         if not len(s_k):
-            return s_k, q_plus, None
-        dofs, _ = s_k.coupled()
-        return s_k, q_plus, (dofs, q_plus[dofs])
+            return s_k, None
+        dofs, rows = s_k.coupled()
+        vel = p_k[dofs] / self.mass[dofs]
+        return s_k, (dofs, _forces.nonconservative_force(self.system, rows, vel,
+                                                         self.params))
 
-    def _residual(self, p_k, delta, explicit, s_mid: ContactSet, q_minus=None):
+    def _residual(self, p_k, delta, explicit, s_mid: ContactSet, act, q_minus=None):
         """Step residual at the displacement delta on the midpoint set s_mid,
-        with explicit = Q(q_k, v_k) on its DOFs (see _explicit_damping)
-        and q_minus = Q(s_mid, delta / h) when the caller already has it.
+        on the DOFs act, a sorted superset of the DOFs s_mid couples,
+        with explicit = Q(q_k, v_k) on DOFs within act (see
+        _explicit_damping) and q_minus = Q(s_mid, delta / h) on the
+        coupled DOFs when the caller already has it.
 
-        p_k - M delta / h less gravity's h (1-a) m g is the whole residual
-        on a body no row of s_mid touches, and is formed on all 6N DOFs;
-        the rows' terms are added on the coupled DOFs only. Returns
-        (r, grad V(q_mid), M delta, max |grad V| and max |Q(s_mid, delta / h)|
-        over the coupled DOFs)."""
+        On a body no row of s_mid touches the residual is
+        p_k - M delta / h less gravity's h (1-a) m g; the rows' terms are
+        evaluated on the renumbered rows of s_mid.coupled(). Returns
+        (r on act, grad V(q_mid) on the coupled DOFs, max |grad V| and
+        max |Q(s_mid, delta / h)| there)."""
         h = self.cfg.h
-        grad_mid = _forces.potential_gradient(self.system, s_mid, self.params)
+        dofs, rows = s_mid.coupled()
+        if not act.size:   # no row: the residual has no active DOF
+            return act, dofs, (0.0, 0.0)
+        grad_c = _forces.potential_gradient(self.system, rows, self.params)
         if q_minus is None and self._damped:
-            q_minus = _forces.nonconservative_force(self.system, s_mid,
-                                                    delta / h, self.params)
-        m_delta = self.mass * delta
-        r = p_k - m_delta / h
-        if self._gravity_term is not None:
-            r[2::BLOCK] -= self._gravity_term
-        scales = (0.0, 0.0)
-        if len(s_mid):
-            # the whole residual on the coupled DOFs, where grad V holds gravity
-            dofs, _ = s_mid.coupled()
-            grad_c = grad_mid[dofs]
-            r_c = (p_k[dofs] - m_delta[dofs] / h
-                   - (h * (1.0 - self.cfg.alpha)) * grad_c)
-            q_scale = 0.0
-            if q_minus is not None:
-                q_c = q_minus[dofs]
-                r_c += (0.5 * h) * q_c
-                q_scale = float(np.abs(q_c).max())
-            r[dofs] = r_c
-            scales = (float(np.abs(grad_c).max()), q_scale)
+            q_minus = _forces.nonconservative_force(self.system, rows,
+                                                    delta[dofs] / h, self.params)
+        r_c = (p_k[dofs] - self.mass[dofs] * delta[dofs] / h
+               - (h * (1.0 - self.cfg.alpha)) * grad_c)
+        q_scale = 0.0
+        if q_minus is not None:
+            r_c += (0.5 * h) * q_minus
+            q_scale = float(np.abs(q_minus).max(initial=0.0))
+        if act.size == dofs.size:   # act holds dofs, so they are the same
+            r = r_c
+        else:
+            r = p_k[act] - self.mass[act] * delta[act] / h
+            if self._gravity_term is not None:
+                r[2::BLOCK] -= self._gravity_term[act[2::BLOCK] // BLOCK]
+            r[np.searchsorted(act, dofs)] = r_c
         if explicit is not None:
-            r[explicit[0]] += (0.5 * h) * explicit[1]
-        return r, grad_mid, m_delta, scales
+            at = (slice(None) if explicit[0].size == act.size
+                  else np.searchsorted(act, explicit[0]))
+            r[at] += (0.5 * h) * explicit[1]
+        return r, grad_c, (float(np.abs(grad_c).max(initial=0.0)), q_scale)
+
+    def _off_act_gravity(self, act):
+        """The largest |r| and the squared 2-norm of r off the DOFs act
+        before the first correction: gravity's h (1-a) m g on each z."""
+        term = self._gravity_term
+        if term is None:
+            return 0.0, 0.0
+        bodies = act[2::BLOCK] // BLOCK
+        if bodies.size == term.size:
+            return 0.0, 0.0
+        on = np.zeros(term.size, dtype=bool)
+        on[bodies] = True
+        # the heaviest body off act is among the first bodies.size + 1
+        heavy = self._heaviest[:bodies.size + 1]
+        top = abs(float(term[heavy[on[heavy].argmin()]]))
+        on_act = term[bodies]
+        return top, max(self._gravity_sq_sum - float(on_act @ on_act), 0.0)
 
     # -- one implicit step ---------------------------------------------------
 
     def solve_position(self, q_k: np.ndarray, p_k: np.ndarray):
         """Newton loop on the displacement; returns (q_{k+1}, p_{k+1}, report)."""
         h, alpha = self.cfg.h, self.cfg.alpha
-        vel_k = p_k / self.mass
-        s_k, q_plus, explicit = self._explicit_damping(q_k, vel_k)
+        s_k, explicit = self._explicit_damping(q_k, p_k)
 
-        delta = h * vel_k
+        delta = p_k / self.mass
+        delta *= h                      # D_0 = h v_k
         frozen = (alpha == 0.0)
         s_mid = s_k if frozen else self.contacts_at(q_k + alpha * delta)
-        # at alpha = 0, Q(s_k, delta_0 / h) is Q(s_k, v_k) = q_plus
-        r, grad_mid, m_delta, (g_scale, q_scale) = self._residual(
-            p_k, delta, explicit, s_mid, q_plus if frozen else None)
-        on_coupled = False     # whether r holds s_mid's coupled DOFs only
+        # the active DOFs: those a row of the step's sets couples
+        act = s_mid.coupled()[0]
+        if explicit is not None:
+            act = _union(explicit[0], act)
+        # at alpha = 0, Q(s_k, delta_0 / h) is Q(s_k, v_k)
+        r, grad_c, (g_scale, q_scale) = self._residual(
+            p_k, delta, explicit, s_mid, act,
+            explicit[1] if frozen and explicit is not None else None)
+        # off act, r is -h (1-a) m g on z until the first correction
+        off_max, off_sq = self._off_act_gravity(act)
         k_set = None     # the contact set -K was built from
-        d_delta = None   # the last correction
+        d_act = None     # the last correction on act, and its size off act
+        d_off = 0.0
         cg_total = corrections = 0
         newton_tol = NEWTON_TOL * self.nlist.d
         r_tol = RESIDUAL_SCALE_TOL * h
         # force scales that do not change over the Newton passes
         fixed_scale = max(0.0 if explicit is None
-                          else float(np.abs(explicit[1]).max()),
-                          float(np.abs(p_k).max(initial=0.0)) / h,
+                          else float(np.abs(explicit[1]).max(initial=0.0)),
+                          max(p_k.max(initial=0.0), -p_k.min(initial=0.0)) / h,
                           self._weight, 1e-300)
         scale = max(g_scale, q_scale, fixed_scale)
 
         while True:
-            # the test is |r| <= r_tol max(scale, |M D| / h^2); M D is
-            # formed only when the forces' scale alone does not pass r
-            r_norm = float(np.abs(r).max(initial=0.0))
+            # the test is |r| <= r_tol max(scale, |M D| / h^2); M D_0 / h^2
+            # is p_k / h to rounding, so M D is formed only after a
+            # correction, and only when the forces' scale does not pass r
+            r_norm = max(float(np.abs(r).max(initial=0.0)), off_max)
             small = r_norm <= r_tol * scale
-            if not small:
-                if m_delta is None:
-                    m_delta = self.mass * delta
-                small = r_norm <= r_tol * (float(np.abs(m_delta).max(initial=0.0))
+            if not small and corrections:
+                small = r_norm <= r_tol * (float(np.abs(self.mass * delta).max())
                                            / h ** 2)
             if small and (
                     corrections == 0
                     or (s_mid is k_set and float(np.linalg.norm(r))
                         * self._inv_k_bound < newton_tol)
-                    or float(np.abs(d_delta).max(initial=0.0)) < newton_tol):
+                    or max(float(np.abs(d_act).max(initial=0.0)), d_off) < newton_tol):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 q_next = q_k + delta
-                p_next = self.mass * (q_next - q_k) / h
+                # M (q_{k+1} - q_k) / h, in delta's buffer
+                p_next = np.subtract(q_next, q_k, out=delta)
+                p_next *= self.mass
+                p_next /= h
                 if alpha != 0.0:
-                    p_next -= h * alpha * grad_mid
+                    dofs = s_mid.coupled()[0]
+                    p_c = p_next[dofs] - h * alpha * grad_c
+                    if self._mid_gravity is not None:
+                        p_next[2::BLOCK] -= self._mid_gravity
+                    p_next[dofs] = p_c
                 return q_next, p_next, report
             if corrections >= NEWTON_MAX:
                 raise StepFailureError(
@@ -283,48 +332,60 @@ class VIIntegrator:
                     residual=r_norm, iterations=corrections)
             if s_mid is not k_set:
                 k_set, newton_solve = s_mid, self._newton_solver(s_mid)
-            d_delta, it, r_c = newton_solve(r, on_coupled)
-            if on_coupled:
-                delta[s_mid.coupled()[0]] += d_delta
+            d_act, it, r_c = newton_solve(r, act, off_sq)
+            d_off = 0.0
+            if corrections == 0 and self._free_fall is not None and off_max:
+                # a body off act falls freely: D = h v_k - h^2 (1-a) g e_z
+                d_0 = delta[act]
+                delta[2::BLOCK] -= self._free_fall
+                delta[act] = d_0 + d_act
+                d_off = self._free_fall_max
             else:
-                delta = delta + d_delta
+                delta[act] += d_act
+            off_max = off_sq = 0.0
             cg_total += it
             corrections += 1
             frozen = frozen or corrections >= N_FREEZE
             if frozen:
-                # affine residual: Q(s_mid, delta / h) is not formed, and
-                # leaving it out of the scale only tightens the test
-                r, on_coupled, m_delta = r_c, True, None
+                # affine residual: CG's on the coupled DOFs, zero elsewhere;
+                # Q(s_mid, delta / h) is not formed, and leaving it out of
+                # the scale only tightens the test
+                r, act = r_c, s_mid.coupled()[0]
                 scale = max(g_scale, fixed_scale)
             else:
                 s_mid = self.contacts_at(q_k + alpha * delta)
-                r, grad_mid, m_delta, (g_scale, q_scale) = self._residual(
-                    p_k, delta, explicit, s_mid)
-                on_coupled = False
+                act = _union(act, s_mid.coupled()[0])
+                r, grad_c, (g_scale, q_scale) = self._residual(
+                    p_k, delta, explicit, s_mid, act)
                 scale = max(g_scale, q_scale, fixed_scale)
 
     def _newton_solver(self, s_mid: ContactSet):
-        """The Newton correction on the set s_mid as a function of the
-        residual r, returning (dD, CG iterations, r - (-K) dD on the
-        DOFs of the bodies a row of s_mid couples).
+        """The Newton correction on the set s_mid as a function
+        solve(r, act, off_sq) of the residual r on the DOFs act, a sorted
+        superset of the DOFs of the bodies a row of s_mid couples, and
+        the squared 2-norm off_sq of the residual off act. Returns (dD on
+        act, CG iterations, r - (-K) dD on the coupled DOFs).
 
-        r and dD cover all 6N DOFs, or, when coupled is true, those
-        coupled DOFs only, r being zero on the others. On a body no row
-        touches, -K is its inertial block M/h, so dD = (M/h)^-1 r there
-        and r - (-K) dD is zero; CG solves only the coupled bodies'
-        block, to CG_TOL relative to the whole of r."""
+        On a body no row touches, -K is its inertial block M/h, so
+        dD = (M/h)^-1 r there and r - (-K) dD is zero; CG solves only the
+        coupled bodies' block, to CG_TOL relative to the whole of r."""
         dofs, rows = s_mid.coupled()
         a_op = self._neg_stiffness(rows, self._m_over_h[dofs])
         precond = self._precond[dofs]
 
-        def solve(r, coupled=False):
-            if coupled:
-                return cg_solve(a_op, r, tol=CG_TOL, precond=precond)
-            d_delta = r * self._precond
-            r_c = r[dofs]
-            r_c_norm = np.linalg.norm(r_c)
-            tol = CG_TOL * np.linalg.norm(r) / r_c_norm if r_c_norm else CG_TOL
-            d_delta[dofs], it, r_c = cg_solve(a_op, r_c, tol=tol, precond=precond)
+        def solve(r, act, off_sq=0.0):
+            at = None if act.size == dofs.size else np.searchsorted(act, dofs)
+            r_c = r if at is None else r[at]
+            tol = CG_TOL
+            if at is not None or off_sq:
+                r_c_norm = np.linalg.norm(r_c)
+                if r_c_norm:
+                    tol = CG_TOL * np.sqrt(float(r @ r) + off_sq) / r_c_norm
+            x, it, r_c = cg_solve(a_op, r_c, tol=tol, precond=precond)
+            if at is None:
+                return x, it, r_c
+            d_delta = r * self._precond[act]
+            d_delta[at] = x
             return d_delta, it, r_c
         return solve
 
@@ -372,8 +433,16 @@ def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
     delta = np.asarray(q_k1_guess, dtype=float).ravel() - q_k
     p_k = np.asarray(p_k, dtype=float).ravel()
     s_mid = integ.contacts_at(q_k + cfg.alpha * delta)
-    _, _, explicit = integ._explicit_damping(q_k, p_k / integ.mass)
-    return integ._residual(p_k, delta, explicit, s_mid)[0]
+    _, explicit = integ._explicit_damping(q_k, p_k)
+    return integ._residual(p_k, delta, explicit, s_mid, np.arange(delta.size))[0]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted index arrays; b itself when a adds
+    nothing to it."""
+    if a is b or a.size == 0 or (a.size == b.size and (a == b).all()):
+        return b
+    return a if b.size == 0 else np.union1d(a, b)
 
 
 def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):

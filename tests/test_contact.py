@@ -138,6 +138,31 @@ class TestNeighborList:
         moved[0, 0] += 0.002
         assert not nl.is_valid(moved)
 
+    def test_one_particle_list_keeps_its_own_centres(self):
+        # one particle's (3, 1) columns are contiguous as a view of the
+        # system's (1, 3) positions; the list must copy them all the same,
+        # or detecting a moved q would move the reference of its guard
+        wall = Wall(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
+        system = ParticleSystem([[0.0, 0.0, 0.0]], walls=[wall])
+        nl = NeighborList.build(system, skin=0.3)
+        assert nl.wall_i.size == 0
+        q = np.zeros(6)
+        for x in (0.1, 0.7):   # inside the guard, then past it
+            q[0] = x
+            contacts = nl.contacts_at(q)
+        assert contacts.n_wall == 1 and contacts.delta[0] == pytest.approx(0.2)
+        npt.assert_array_equal(system.pos, [[0.0, 0.0, 0.0]])
+
+    def test_failed_detection_is_not_cached(self):
+        system = ParticleSystem([[5.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        nl = NeighborList.build(system)
+        assert len(nl.contacts_at(np.hstack([system.pos, np.zeros((3, 3))]).ravel())) == 1
+        q = np.zeros((3, 6))
+        q[0, 0] = 5.0                     # particles 1 and 2 coincide
+        for _ in range(2):
+            with pytest.raises(SingularGeometryError, match="particles 1 and 2"):
+                nl.contacts_at(q.ravel())
+
     def test_stale_list_raises(self):
         system = two_particles(1.2)
         nl = NeighborList.build(system, skin=0.3)

@@ -375,8 +375,8 @@ def spy_corrections(monkeypatch):
     def spy(integ, s_mid):
         solve = newton_solver(integ, s_mid)
 
-        def logged(r, coupled=False):
-            out = solve(r, coupled)
+        def logged(*args):
+            out = solve(*args)
             corrections.append((*out, s_mid))
             return out
         return logged
@@ -479,8 +479,9 @@ class TestFrozenPasses:
             s_frozen = corrections[-1][3]
             assert all(c[3] is s_frozen for c in corrections)
             assert len(s_frozen) > 0 and s_frozen.n_wall > 0
-            _, _, explicit = integ._explicit_damping(prev.q, prev.p / integ.mass)
-            fresh = integ._residual(prev.p, state.q - prev.q, explicit, s_frozen)[0]
+            _, explicit = integ._explicit_damping(prev.q, prev.p)
+            fresh = integ._residual(prev.p, state.q - prev.q, explicit, s_frozen,
+                                    np.arange(prev.q.size))[0]
             npt.assert_allclose(left_on_all_dofs(corrections[-1]), fresh, rtol=0,
                                 atol=step_roundoff(prev, state, cfg, system))
 
@@ -493,7 +494,8 @@ def with_free_bodies(system, seed):
                           np.vstack([system.vel, rng.normal(size=(3, 3))]),
                           np.vstack([system.omega, rng.normal(size=(3, 3))]),
                           m=np.append(system.m, [0.5, 2.0, 3.0]),
-                          walls=system.walls, bonds=system.bonds)
+                          walls=system.walls, bonds=system.bonds,
+                          gravity=system.gravity)
 
 
 class TestCoupledSplit:
@@ -514,7 +516,7 @@ class TestCoupledSplit:
         dofs, _ = s.coupled()
         assert s.n_bond > 0 and s.n_wall > 0
         assert 0 < dofs.size < r.size
-        d_delta, _, r_c = integ._newton_solver(s)(r)
+        d_delta, _, r_c = integ._newton_solver(s)(r, np.arange(r.size))
         neg_k = integ._neg_stiffness(s, integ._m_over_h)
         want, _, _ = linsolve.cg_solve(neg_k, r, tol=vi.CG_TOL, precond=integ._precond)
         # each meets |r - (-K) x| <= CG_TOL |r|, and |(-K)^-1| <= h / min(diag M)
@@ -535,8 +537,8 @@ class TestCoupledSplit:
         dofs, _ = s.coupled()
         r_full = np.zeros_like(r)
         r_full[dofs] = r[dofs]
-        d_c, it_c, r_c = integ._newton_solver(s)(r[dofs], coupled=True)
-        d_full, it_full, r_c_full = integ._newton_solver(s)(r_full)
+        d_c, it_c, r_c = integ._newton_solver(s)(r[dofs], dofs)
+        d_full, it_full, r_c_full = integ._newton_solver(s)(r_full, np.arange(r.size))
         assert d_c.shape == r_c.shape == dofs.shape
         assert it_c == it_full
         npt.assert_array_equal(d_full[dofs], d_c)
@@ -549,7 +551,7 @@ class TestCoupledSplit:
         free = np.ones(r.size, dtype=bool)
         free[s.coupled()[0]] = False
         assert free[-18:].all()
-        d_delta, _, r_c = integ._newton_solver(s)(r)
+        d_delta, _, r_c = integ._newton_solver(s)(r, np.arange(r.size))
         inv_inertia = integ._precond     # (M/h)^-1, CG's preconditioner
         npt.assert_allclose(inv_inertia, integ.cfg.h / integ.mass, rtol=1e-15)
         npt.assert_array_equal(d_delta[free], r[free] * inv_inertia[free])
@@ -577,6 +579,125 @@ class TestCoupledSplit:
         _, report = integ.step(pack_state(system))
         assert (report.newton_iters, report.cg_iters, report.n_contacts) == (1, 0, 0)
         assert len(solves) == 1 and solves[0][1] == 0 and not matvecs
+
+
+def passes_acceptance(prev, state, cfg, system, params):
+    """Whether the step residual of vi.residual at the accepted iterate
+    passes the stepper's test on every DOF, |r| <= RESIDUAL_SCALE_TOL h
+    max(forces, |p_k| / h, m_max |g|, |M D| / h^2), up to the roundoff
+    of a fresh evaluation."""
+    h, mass = cfg.h, assemble_mass_matrix(system)
+    r = residual(prev.q, state.q, prev.p, cfg, system, params)
+    work = unpack_state(prev, system)
+    s_k = detect_contacts_brute_force(work)
+    q_plus = nonconservative_force(work, s_k, prev.p / mass, params)
+    work.pos[:] = (prev.q + cfg.alpha * (state.q - prev.q)).reshape(-1, 6)[:, :3]
+    s_mid = detect_contacts_brute_force(work)
+    q_minus = nonconservative_force(work, s_mid, (state.q - prev.q) / h, params)
+    grad = forces.potential_gradient(work, s_mid, params)
+    scale = max(np.max(np.abs(grad)), np.max(np.abs(q_minus)), np.max(np.abs(q_plus)),
+                np.max(np.abs(prev.p)) / h, np.max(system.m) * abs(system.gravity),
+                np.max(np.abs(mass * (state.q - prev.q))) / h ** 2)
+    bound = vi.RESIDUAL_SCALE_TOL * h * scale + step_roundoff(prev, state, cfg, system)
+    return np.max(np.abs(r)) <= bound
+
+
+def free_fall(prev, cfg, system):
+    """h v_k - h^2 (1-a) g e_z, the step of a body no contact row touches."""
+    d = cfg.h * (prev.p / assemble_mass_matrix(system))
+    d[2::BLOCK] -= cfg.h ** 2 * (1.0 - cfg.alpha) * system.gravity
+    return d
+
+
+class TestClosedForm:
+    """A body on no row of the step's sets falls freely in closed form;
+    the residual is formed only where a row acts, or has acted."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("gravity", [0.0, 1.0])
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_free_bodies_fall_and_the_step_passes(self, alpha, gravity, damped,
+                                                  damped_params):
+        params = damped_params if damped else UNDAMPED
+        cfg = VIConfig(h=T_C / 40, alpha=alpha)
+        for seed in range(4):
+            system = with_free_bodies(
+                random_system(seed, walls=True, bonds=seed % 2 == 1,
+                              gravity=gravity), seed)
+            integ = VIIntegrator(system, params, cfg)
+            state = pack_state(system)
+            for _ in range(3):
+                prev = state
+                state, report = integ.step(prev)
+                assert report.n_contacts > 0
+                assert passes_acceptance(prev, state, cfg, system, params)
+                # the three far bodies touch nothing
+                far = slice(-3 * BLOCK, None)
+                got = (state.q - prev.q)[far]
+                want = free_fall(prev, cfg, system)[far]
+                npt.assert_allclose(got, want, rtol=0,
+                                    atol=8 * np.finfo(float).eps
+                                    * np.max(np.abs(state.q[far])))
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_contact_that_opens_between_passes(self, damped, damped_params,
+                                               monkeypatch):
+        # a body leaves a ceiling: the first midpoint still overlaps it by
+        # h^2 g / 16, less than gravity moves the midpoint in the first
+        # correction, so the next pass finds it on no row; its residual
+        # still holds the spring impulse of the first correction
+        params = damped_params if damped else UNDAMPED
+        cfg = VIConfig(h=T_C / 40, alpha=0.5)
+        h, u, g = cfg.h, 0.01, 1.0
+        ceiling = Wall(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0]))
+        overlap = 0.5 * h * u + h * h * g / 16
+        system = ParticleSystem([[0.0, 0.0, 2.5 + overlap], [5.0, 0.0, 0.0]],
+                                [[0.0, 0.0, -u], [0.3, 0.0, 0.2]],
+                                walls=[ceiling], gravity=g)
+        corrections = spy_corrections(monkeypatch)
+        prev = pack_state(system)
+        state, report = VIIntegrator(system, params, cfg).step(prev)
+        sets = [c[3] for c in corrections]
+        assert report.newton_iters >= 2
+        assert sets[0].n_wall == 1 and len(sets[1]) == 0
+        assert passes_acceptance(prev, state, cfg, system, params)
+        npt.assert_allclose((state.q - prev.q)[BLOCK:],
+                            free_fall(prev, cfg, system)[BLOCK:],
+                            rtol=0, atol=1e-15)
+
+
+class TestContactsOnly:
+    def test_step_makes_no_reduction_over_all_dofs(self, monkeypatch,
+                                                   damped_params):
+        # 600 bodies, one touching pair and one on the floor: no norm and
+        # no per-body sum in the step is as long as the 6N DOFs
+        grid = np.stack(np.meshgrid(*[np.arange(k) * 2.0 for k in (10, 10, 6)],
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        pos = grid + [0.0, 0.0, 5.0]
+        pos[0] = [0.0, 0.0, 0.45]             # on the floor
+        pos[2] = pos[1] + [0.0, 0.0, 0.95]    # touching body 1
+        floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        vel = np.random.default_rng(0).normal(size=pos.shape)
+        system = ParticleSystem(pos, vel, walls=[floor], gravity=1.0)
+        n_dofs = BLOCK * system.n
+        for alpha in (0.0, 0.5):
+            integ = VIIntegrator(system, damped_params, VIConfig(h=T_C / 40, alpha=alpha))
+            state = pack_state(system)
+            norms = count_calls(monkeypatch, np.linalg, "norm")
+            bincounts = []
+            bincount = np.bincount
+
+            def spy(x, weights=None, minlength=0):
+                bincounts.append(minlength)
+                return bincount(x, weights=weights, minlength=minlength)
+
+            monkeypatch.setattr(np, "bincount", spy)
+            _, report = integ.step(state)
+            monkeypatch.undo()
+            assert report.n_contacts == 2 and report.newton_iters >= 1
+            assert norms and bincounts
+            assert max(np.size(args[0]) for args in norms) < n_dofs
+            assert max(bincounts) < n_dofs
 
 
 class TestRunTotals:

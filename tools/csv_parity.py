@@ -14,14 +14,26 @@ same lines:
     PYTHONPATH=/path/to/parent/src python3 tools/csv_parity.py > before.txt
     diff before.txt after.txt
 
-Needs only the standard library and vigrain; takes about a minute.
+When the hashes differ, the size of the difference comes from the final
+states: ``--save DIR`` writes each run's final q and p as ``.npy`` files,
+and ``--against DIR`` adds to each line max |dq| / d and max |dp| / max |p|
+against the files a run of the other checkout saved there:
+
+    PYTHONPATH=/path/to/parent/src python3 tools/csv_parity.py --save before
+    PYTHONPATH=src python3 tools/csv_parity.py --against before
+
+Needs only the standard library, numpy and vigrain; takes about a minute.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from vigrain.io import parse_config, write_diagnostics, write_trajectory
 from vigrain.runner import run_simulation
@@ -41,7 +53,8 @@ RUNS = (
 )
 
 
-def fingerprint(doc: dict, steps: int | None, out: Path) -> str:
+def fingerprint(doc: dict, steps: int | None, out: Path):
+    """The run's summary line and its final (q, p, d)."""
     spec = parse_config(json.dumps(doc)).spec
     if steps is not None:
         spec.duration = steps * spec.h
@@ -53,14 +66,46 @@ def fingerprint(doc: dict, steps: int | None, out: Path) -> str:
                                result.diagnostics)):
         write(rows, out / name)
         digests.append(f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}")
-    return (f"{result.steps} steps, {result.newton_iters} Newton, "
+    line = (f"{result.steps} steps, {result.newton_iters} Newton, "
             f"{result.cg_iters} CG, " + ", ".join(digests))
+    state = result.final_state
+    return line, state.q, state.p, float(result.final_system.d[0])
+
+
+def stem(label: str) -> str:
+    return re.sub(r"\W+", "_", label).strip("_")
+
+
+def deltas(q, p, d: float, against: Path, label: str) -> str:
+    """max |dq| / d and max |dp| / max |p| against the saved final state."""
+    q0 = np.load(against / f"{stem(label)}.q.npy")
+    p0 = np.load(against / f"{stem(label)}.p.npy")
+    if q0.shape != q.shape:
+        return f"; final state shape {q.shape} against {q0.shape}"
+    dq = float(np.max(np.abs(q - q0), initial=0.0)) / d
+    p_max = float(np.max(np.abs(p0), initial=0.0))
+    dp = float(np.max(np.abs(p - p0), initial=0.0)) / (p_max or 1.0)
+    return f"; max |dq|/d {dq:.3g}, max |dp|/max|p| {dp:.3g}"
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, metavar="DIR",
+                        help="write each run's final q and p as .npy files")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare each run's final q and p with a --save DIR")
+    args = parser.parse_args()
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, doc, steps in RUNS:
-            print(f"{label}: {fingerprint(doc, steps, Path(tmp))}", flush=True)
+            line, q, p, d = fingerprint(doc, steps, Path(tmp))
+            if args.save is not None:
+                np.save(args.save / f"{stem(label)}.q.npy", q)
+                np.save(args.save / f"{stem(label)}.p.npy", p)
+            if args.against is not None:
+                line += deltas(q, p, d, args.against, label)
+            print(f"{label}: {line}", flush=True)
 
 
 if __name__ == "__main__":
