@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactSet
-from .forces import ContactParams, potential_energy
+from .forces import (ContactParams, contact_energy, gravity_energy,
+                     potential_energy)
 from .model import ParticleSystem
 
 
@@ -63,11 +64,10 @@ def ensemble_stats(system: ParticleSystem, contacts: ContactSet | None = None,
     """All per-frame scalars at once. Potential fields are zero when no
     contact set is supplied."""
     k_t, k_r = kinetic_energy(system)
-    v_grav = system.gravity * float(np.sum(system.m * system.pos[:, 2])) \
-        if system.gravity != 0.0 else 0.0
+    v_grav = gravity_energy(system, system.pos[:, 2])
     v_contact = 0.0
     if contacts is not None and params is not None:
-        v_contact = potential_energy(system, contacts, params) - v_grav
+        v_contact = contact_energy(contacts, params)
     return FrameStats(
         t=t,
         kinetic_trans=k_t,

@@ -78,14 +78,23 @@ def contact_time(k_n: float, mass: float = 1.0) -> float:
     return np.pi * np.sqrt(mass / (2.0 * k_n))
 
 
+def contact_energy(contacts: ContactSet, params: ContactParams) -> float:
+    """The contact springs' potential (Hookean, wall, bond), 0.5 sum k delta^2."""
+    k = contacts.stiffness(params.k_n)
+    return 0.5 * float(np.sum(k * contacts.delta ** 2))
+
+
+def gravity_energy(system: ParticleSystem, z: np.ndarray) -> float:
+    """Gravity's potential g sum m z with the centres at the heights z."""
+    if system.gravity == 0.0:
+        return 0.0
+    return system.gravity * float(np.sum(system.m * z))
+
+
 def potential_energy(system: ParticleSystem, contacts: ContactSet,
                      params: ContactParams) -> float:
     """Total potential: contact springs (Hookean, wall, bond) and gravity."""
-    k = contacts.stiffness(params.k_n)
-    v = 0.5 * float(np.sum(k * contacts.delta ** 2))
-    if system.gravity != 0.0:
-        v += system.gravity * float(np.sum(system.m * system.pos[:, 2]))
-    return v
+    return contact_energy(contacts, params) + gravity_energy(system, system.pos[:, 2])
 
 
 def potential_gradient(system: ParticleSystem, contacts: ContactSet,

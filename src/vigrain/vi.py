@@ -8,7 +8,7 @@ D = q_{k+1} - q_k,
            + (h/2) Q(q_k + a D, D/h)
            + (h/2) Q(q_k, M^-1 p_k)          = 0
 
-by Newton iteration from D_0 = h M^-1 p_k with a conjugate-gradient
+by Newton iteration from D_0 (below) with a conjugate-gradient
 inner solve, where a is 0 (first order) or 1/2 (second order). The
 iterate is D, not q_{k+1}, so M D / h does not cancel however far the
 system sits from the origin: q_k + a D is formed only to detect the
@@ -38,33 +38,34 @@ affine in D and K is its exact Jacobian, so the residual after a
 correction dD is r - (-K) dD: the residual CG hands back on the
 coupled DOFs, and zero on the others, where the solve is exact. No
 force is evaluated again. At alpha = 0 the first residual also reuses
-Q(q_k, v_k), because D_0 / h = v_k, so a step makes one detection,
-one gradient, one damping force, one dQ/dv and one CG solve.
+Q(q_k, v_k), because D_0 / h = v_k on the bodies of the rows, so a step
+with contacts makes one detection, one gradient, one damping force, one
+dQ/dv and one CG solve.
 
-Which vectors span all 6N DOFs, and which only the active ones: D, q
-and p are 6N, and so is the initial guess h M^-1 p_k; nothing else is.
-A body on no row of the step's sets (the midpoint set and, when damped,
-the set at q_k) has the linear residual p_k - M D / h - h (1-a) m g e_z,
-whose exact solution is the closed form D = h v_k - h^2 (1-a) g e_z:
-the first correction writes it with one per-body constant, (M/h)^-1
-times gravity's term. The residual is formed only on the active DOFs:
-those the step's sets couple, and at alpha = 1/2 those a set of an
-earlier pass coupled. Off them it is -h (1-a) m g on z before the first
-correction and zero after it, so the largest |r| and the 2-norm in CG's
-tolerance come from per-body constants there, and the gradient and the
-damping force are evaluated on the rows renumbered onto the coupled
-bodies (ContactSet.coupled). After a correction on a fixed set, r is
-kept on the coupled DOFs only, and a further correction changes D only
-there. The test's force scale is the largest |grad V| and |Q| over the
-coupled DOFs, computed once per evaluation, with |p_k| / h,
-|Q(q_k, M^-1 p_k)| and m_max |g|, which bounds |grad V| on every other
-body; |M D| / h^2 joins it after a correction, only when the rest does
-not already pass r (before one, M D_0 / h^2 is p_k / h to rounding). Of
-BLAS, the step calls only the dot products and norms of CG and of its
-tolerance and acceptance, all on the active DOFs.
+The initial guess and the active DOFs. A body on no contact row has
+the linear residual p_k - M D / h - h (1-a) m g e_z, solved exactly by
+its free fall D = h v_k - h^2 (1-a) g e_z, whose z term is one per-body
+constant, (M/h)^-1 times gravity's. D_0 is that free fall on every body
+but those on a row of the set at q_k, which start from h v_k; the
+undamped midpoint rule never detects that set, and starts every body
+falling. The residual is formed only on the active DOFs: those the
+step's sets couple, and at alpha = 1/2 those a set of an earlier pass
+coupled, since a body a correction moved while coupled keeps a
+residual after its contact opens. Off them D_0 is exact and r is zero,
+so a contact-free step is accepted at its initial guess. The gradient
+and the damping force are evaluated on the rows renumbered onto the
+coupled bodies (ContactSet.coupled), and after a correction on a fixed
+set r is kept on the coupled DOFs only. Only D, q, p and the initial
+guess span all 6N DOFs; the dot products and norms of CG, of its
+tolerance and of the acceptance test run on the active DOFs.
 
-After a correction, an iterate is accepted when the residual passes
-its test and the next Newton correction is known to be below
+An iterate passes the residual test when |r| <= RESIDUAL_SCALE_TOL h
+times the force scale: the largest |grad V| and |Q| over the coupled
+DOFs, with |p_k| / h, |Q(q_k, M^-1 p_k)| and m_max |g|, which bounds
+|grad V| on every other body, and after a correction |M D| / h^2, formed
+only when the rest does not already pass r. The initial guess is
+accepted when it passes. After a correction, an iterate is accepted
+when it passes and the next Newton correction is known to be below
 NEWTON_TOL d: either the last correction was that small, or the
 residual was evaluated on the contact set -K was built from and
 |r|_2 h / min(diag M) is below the tolerance. On a fixed contact set
@@ -89,7 +90,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contact as _contact
 from . import forces as _forces
 from .contact import ContactSet, NeighborList
 from .errors import IndefiniteOperatorError, SolverFailureError, StepFailureError
@@ -127,7 +127,8 @@ class StepReport:
     """What one step of either stepper cost.
 
     newton_iters counts correction solves; a step accepted at the
-    initial guess reports zero, and so does every Verlet step. On a
+    initial guess reports zero, as does every contact-free step (its
+    initial guess is the free fall) and every Verlet step. On a
     frozen contact set one correction usually suffices: the residual
     then bounds the next correction (see the module docstring), so no
     second solve is made to measure it. cg_iters sums the CG iterations
@@ -171,7 +172,7 @@ class VIIntegrator:
         self._precond = 1.0 / self._m_over_h   # CG's, the same for every -K
         self._damped = params.gamma_n != 0.0 or params.gamma_t != 0.0
         # on a body no contact row touches, grad V is m g on z: the
-        # residual's h (1-a) m g there, the first correction's closed form
+        # residual's h (1-a) m g there, the initial guess's free fall
         # (M/h)^-1 times that, and the momentum's h a m g; m.max() |g|
         # bounds |grad V| on such a body
         g, h, alpha = system.gravity, cfg.h, cfg.alpha
@@ -180,11 +181,7 @@ class VIIntegrator:
         if g != 0.0:
             self._gravity_term = (h * (1.0 - alpha)) * (system.m * g)
             self._free_fall = self._precond[2::BLOCK] * self._gravity_term
-            self._free_fall_max = float(np.abs(self._free_fall).max())
             self._mid_gravity = (h * alpha) * (system.m * g)
-            self._gravity_sq_sum = float(np.sum(self._gravity_term ** 2))
-            # the largest |h (1-a) m g| first
-            self._heaviest = np.argsort(-np.abs(self._gravity_term), kind="stable")
 
     # -- contact evaluation ------------------------------------------------
 
@@ -248,23 +245,6 @@ class VIIntegrator:
             r[at] += (0.5 * h) * explicit[1]
         return r, grad_c, (float(np.abs(grad_c).max(initial=0.0)), q_scale)
 
-    def _off_act_gravity(self, act):
-        """The largest |r| and the squared 2-norm of r off the DOFs act
-        before the first correction: gravity's h (1-a) m g on each z."""
-        term = self._gravity_term
-        if term is None:
-            return 0.0, 0.0
-        bodies = act[2::BLOCK] // BLOCK
-        if bodies.size == term.size:
-            return 0.0, 0.0
-        on = np.zeros(term.size, dtype=bool)
-        on[bodies] = True
-        # the heaviest body off act is among the first bodies.size + 1
-        heavy = self._heaviest[:bodies.size + 1]
-        top = abs(float(term[heavy[on[heavy].argmin()]]))
-        on_act = term[bodies]
-        return top, max(self._gravity_sq_sum - float(on_act @ on_act), 0.0)
-
     # -- one implicit step ---------------------------------------------------
 
     def solve_position(self, q_k: np.ndarray, p_k: np.ndarray):
@@ -272,11 +252,20 @@ class VIIntegrator:
         h, alpha = self.cfg.h, self.cfg.alpha
         s_k, explicit = self._explicit_damping(q_k, p_k)
 
+        # D_0: a body on no row of s_k falls freely, h v_k - h^2 (1-a) g e_z,
+        # the exact step while no row touches it; a body on one keeps h v_k
         delta = p_k / self.mass
-        delta *= h                      # D_0 = h v_k
+        delta *= h
+        if self._free_fall is not None:
+            held = (np.empty(0, dtype=np.intp) if s_k is None
+                    else s_k.coupled()[0][2::BLOCK])
+            d_held = delta[held]
+            delta[2::BLOCK] -= self._free_fall
+            delta[held] = d_held
         frozen = (alpha == 0.0)
         s_mid = s_k if frozen else self.contacts_at(q_k + alpha * delta)
-        # the active DOFs: those a row of the step's sets couples
+        # the active DOFs: those a row of the step's sets couples; off them
+        # D_0 is exact and r is zero
         act = s_mid.coupled()[0]
         if explicit is not None:
             act = _union(explicit[0], act)
@@ -284,11 +273,8 @@ class VIIntegrator:
         r, grad_c, (g_scale, q_scale) = self._residual(
             p_k, delta, explicit, s_mid, act,
             explicit[1] if frozen and explicit is not None else None)
-        # off act, r is -h (1-a) m g on z until the first correction
-        off_max, off_sq = self._off_act_gravity(act)
         k_set = None     # the contact set -K was built from
-        d_act = None     # the last correction on act, and its size off act
-        d_off = 0.0
+        d_act = None     # the last correction, on act
         cg_total = corrections = 0
         newton_tol = NEWTON_TOL * self.nlist.d
         r_tol = RESIDUAL_SCALE_TOL * h
@@ -300,10 +286,11 @@ class VIIntegrator:
         scale = max(g_scale, q_scale, fixed_scale)
 
         while True:
-            # the test is |r| <= r_tol max(scale, |M D| / h^2); M D_0 / h^2
-            # is p_k / h to rounding, so M D is formed only after a
-            # correction, and only when the forces' scale does not pass r
-            r_norm = max(float(np.abs(r).max(initial=0.0)), off_max)
+            # the test is |r| <= r_tol max(scale, |M D| / h^2); M D is
+            # formed only after a correction, and only when the forces'
+            # scale does not pass r: leaving |M D_0| / h^2 out of pass 0's
+            # scale only tightens its test
+            r_norm = float(np.abs(r).max(initial=0.0))
             small = r_norm <= r_tol * scale
             if not small and corrections:
                 small = r_norm <= r_tol * (float(np.abs(self.mass * delta).max())
@@ -312,7 +299,7 @@ class VIIntegrator:
                     corrections == 0
                     or (s_mid is k_set and float(np.linalg.norm(r))
                         * self._inv_k_bound < newton_tol)
-                    or max(float(np.abs(d_act).max(initial=0.0)), d_off) < newton_tol):
+                    or float(np.abs(d_act).max(initial=0.0)) < newton_tol):
                 report = StepReport(corrections, r_norm, cg_total, len(s_mid))
                 q_next = q_k + delta
                 # M (q_{k+1} - q_k) / h, in delta's buffer
@@ -332,17 +319,8 @@ class VIIntegrator:
                     residual=r_norm, iterations=corrections)
             if s_mid is not k_set:
                 k_set, newton_solve = s_mid, self._newton_solver(s_mid)
-            d_act, it, r_c = newton_solve(r, act, off_sq)
-            d_off = 0.0
-            if corrections == 0 and self._free_fall is not None and off_max:
-                # a body off act falls freely: D = h v_k - h^2 (1-a) g e_z
-                d_0 = delta[act]
-                delta[2::BLOCK] -= self._free_fall
-                delta[act] = d_0 + d_act
-                d_off = self._free_fall_max
-            else:
-                delta[act] += d_act
-            off_max = off_sq = 0.0
+            d_act, it, r_c = newton_solve(r, act)
+            delta[act] += d_act
             cg_total += it
             corrections += 1
             frozen = frozen or corrections >= N_FREEZE
@@ -361,10 +339,10 @@ class VIIntegrator:
 
     def _newton_solver(self, s_mid: ContactSet):
         """The Newton correction on the set s_mid as a function
-        solve(r, act, off_sq) of the residual r on the DOFs act, a sorted
-        superset of the DOFs of the bodies a row of s_mid couples, and
-        the squared 2-norm off_sq of the residual off act. Returns (dD on
-        act, CG iterations, r - (-K) dD on the coupled DOFs).
+        solve(r, act) of the residual r on the DOFs act, a sorted superset
+        of the DOFs of the bodies a row of s_mid couples, r being zero off
+        act. Returns (dD on act, CG iterations, r - (-K) dD on the coupled
+        DOFs).
 
         On a body no row touches, -K is its inertial block M/h, so
         dD = (M/h)^-1 r there and r - (-K) dD is zero; CG solves only the
@@ -373,14 +351,14 @@ class VIIntegrator:
         a_op = self._neg_stiffness(rows, self._m_over_h[dofs])
         precond = self._precond[dofs]
 
-        def solve(r, act, off_sq=0.0):
+        def solve(r, act):
             at = None if act.size == dofs.size else np.searchsorted(act, dofs)
             r_c = r if at is None else r[at]
             tol = CG_TOL
-            if at is not None or off_sq:
+            if at is not None:
                 r_c_norm = np.linalg.norm(r_c)
                 if r_c_norm:
-                    tol = CG_TOL * np.sqrt(float(r @ r) + off_sq) / r_c_norm
+                    tol = CG_TOL * np.linalg.norm(r) / r_c_norm
             x, it, r_c = cg_solve(a_op, r_c, tol=tol, precond=precond)
             if at is None:
                 return x, it, r_c
@@ -419,10 +397,8 @@ def discrete_lagrangian(q_k: np.ndarray, q_k1: np.ndarray, cfg: VIConfig,
     dq = q_k1 - q_k
     kinetic = 0.5 * float(dq @ (mass * dq)) / cfg.h
     q_mid = (1.0 - cfg.alpha) * q_k + cfg.alpha * q_k1
-    work = system.copy()
-    work.pos[:] = q_mid.reshape(-1, BLOCK)[:, :3]
-    contacts = _contact.detect_contacts_brute_force(work)
-    return kinetic - cfg.h * _forces.potential_energy(work, contacts, params)
+    contacts = NeighborList.build(system).contacts_at(q_mid)
+    return kinetic - cfg.h * _potential(q_mid, contacts, system, params)
 
 
 def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
@@ -435,6 +411,13 @@ def residual(q_k, q_k1_guess, p_k, cfg: VIConfig, system: ParticleSystem,
     s_mid = integ.contacts_at(q_k + cfg.alpha * delta)
     _, explicit = integ._explicit_damping(q_k, p_k)
     return integ._residual(p_k, delta, explicit, s_mid, np.arange(delta.size))[0]
+
+
+def _potential(q: np.ndarray, contacts: ContactSet, system: ParticleSystem,
+               params: ContactParams) -> float:
+    """V with the centres at q: the contact springs, then gravity."""
+    return (_forces.contact_energy(contacts, params)
+            + _forces.gravity_energy(system, q[2::BLOCK]))
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,15 +436,13 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
     reports trouble, and steps are clamped and backtracked so the energy
     never increases. Returns (q_equilibrium, QuasiStaticReport).
     """
-    work = system.copy()    # holds the centres of each energy evaluation
     nlist = NeighborList.build(system)
     q = np.asarray(q_init, dtype=float).ravel().copy()
     tol = STATIC_TOL * params.k_n * nlist.d
     max_step = 0.1 * nlist.d
 
     contacts = nlist.contacts_at(q)
-    work.pos[:] = q.reshape(-1, BLOCK)[:, :3]
-    energy = _forces.potential_energy(work, contacts, params)
+    energy = _potential(q, contacts, system, params)
     for it in range(STATIC_MAX_ITER + 1):
         grad = _forces.potential_gradient(system, contacts, params)
         g_norm = float(np.max(np.abs(grad), initial=0.0))
@@ -487,8 +468,7 @@ def quasi_static_solve(q_init, system: ParticleSystem, params: ContactParams):
         for _ in range(40):
             trial = q + dq
             contacts_trial = nlist.contacts_at(trial)
-            work.pos[:] = trial.reshape(-1, BLOCK)[:, :3]
-            v_new = _forces.potential_energy(work, contacts_trial, params)
+            v_new = _potential(trial, contacts_trial, system, params)
             if v_new <= energy + 1e-12 * (abs(energy) + 1.0):
                 q, contacts, energy = trial, contacts_trial, v_new
                 break

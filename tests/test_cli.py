@@ -84,10 +84,11 @@ def test_convergence_prints_slopes(capsys):
 
 
 def test_run_step_failure_names_step_and_time(tmp_path, capsys, monkeypatch):
+    # with d + 1e-6 between its walls, the particle touches one at the
+    # midpoint of its first step, which then needs a correction
     monkeypatch.setattr(vi, "NEWTON_MAX", 0)
-    path = tmp_path / "box.json"
-    path.write_text(json.dumps({"scenario": "box", "n_particles": 18,
-                                "box_size": 3, "duration": 0.01}))
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps({"scenario": "walls", "gap": 1.000001}))
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err.strip()
@@ -115,7 +116,8 @@ def test_summary_line_prints_the_solver_totals(tmp_path, capsys, monkeypatch,
                         '"duration": 0.06, "diagnostics_every": 7}')
         argv = ["run", "--config", str(path), "--out", out]
     else:
-        argv = ["scenario", "box", "--steps", "25", "--out", out]
+        # the box's first correction comes when the bottom layer lands
+        argv = ["scenario", "box", "--steps", "250", "--out", out]
     assert cli_main(argv) == 0
     newton = sum(r.newton_iters for r in reports)
     cg = sum(r.cg_iters for r in reports)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vigrain import (ContactParams, ParticleSystem, Wall,
+from vigrain import (ContactParams, ParticleSystem, Wall, build_box,
                      detect_contacts_brute_force, ensemble_stats,
                      kinetic_energy, total_energy, total_momentum,
                      velocity_fluctuation, mean_kinetic)
@@ -84,6 +84,23 @@ class TestTotalEnergy:
         delta = 0.5 - 0.46
         assert total_energy(s, contacts, UNDAMPED) == pytest.approx(
             0.5 * UNDAMPED.k_n * delta ** 2)
+
+    def test_contact_energy_is_the_springs_sum(self):
+        # a box whose layers each sink 0.0045 d more than the one below:
+        # V_contact is 0.5 sum k delta^2 itself, not the potential less a
+        # gravity term a hundred times larger
+        system, spec = build_box(n_particles=218)
+        layer = np.round((system.pos[:, 2] - 0.5) / (np.sqrt(0.5) + 0.004))
+        system.pos[:, 2] -= 0.0045 * (layer + 1)
+        contacts = detect_contacts_brute_force(system)
+        params = spec.contact_params()
+        assert contacts.n_pp > 0 and contacts.n_wall > 0
+        stats = ensemble_stats(system, contacts, params)
+        k = contacts.stiffness(params.k_n)
+        assert stats.potential_contact == 0.5 * float(np.sum(k * contacts.delta ** 2))
+        assert stats.total_energy == (stats.kinetic_trans + stats.kinetic_rot
+                                      + stats.potential_contact
+                                      + stats.potential_gravity)
 
     def test_gravity_included_when_on(self):
         s = ParticleSystem([[0, 0, 3.0]], [[1, 0, 0]], gravity=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, GeneralizedState, IndefiniteOperatorError,
+from vigrain import (Bond, ContactParams, GeneralizedState, IndefiniteOperatorError,
                      NonFiniteStateError, ParticleSystem, SolverFailureError,
                      StepFailureError, VerletIntegrator, VIConfig,
                      VIIntegrator, Wall, assemble_mass_matrix, build_box, build_impact,
@@ -570,15 +570,22 @@ class TestCoupledSplit:
         npt.assert_array_equal(full[free], integ._m_over_h[free] * x[free])
 
     def test_contact_free_correction_runs_no_cg_iteration(self, monkeypatch):
-        # free fall at alpha = 0: the initial guess misses gravity's impulse
-        system = ParticleSystem([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [0, 1, 0]],
-                                gravity=1.0)
-        integ = VIIntegrator(system, UNDAMPED, VIConfig(h=0.01, alpha=0.0))
-        solves = spy_cg(monkeypatch)
-        matvecs = count_calls(monkeypatch, linsolve.BlockSparseMatrix, "matvec")
-        _, report = integ.step(pack_state(system))
-        assert (report.newton_iters, report.cg_iters, report.n_contacts) == (1, 0, 0)
-        assert len(solves) == 1 and solves[0][1] == 0 and not matvecs
+        # free fall: the initial guess is each body's exact step, so the
+        # step is accepted with no correction; dyadic h, m, v and g make
+        # h v_k - h^2 (1-a) g e_z exact in any order of operations
+        system = ParticleSystem([[0, 0, 0], [3, 0, 0]], [[1, 0, 0], [0, 1, 0.5]],
+                                m=[1.0, 2.0], gravity=1.0)
+        for alpha in (0.0, 0.5):
+            cfg = VIConfig(h=2.0 ** -7, alpha=alpha)
+            integ = VIIntegrator(system, UNDAMPED, cfg)
+            solves = spy_cg(monkeypatch)
+            matvecs = count_calls(monkeypatch, linsolve.BlockSparseMatrix, "matvec")
+            prev = pack_state(system)
+            state, report = integ.step(prev)
+            monkeypatch.undo()
+            assert (report.newton_iters, report.cg_iters, report.n_contacts) == (0, 0, 0)
+            assert not solves and not matvecs
+            npt.assert_array_equal(state.q - prev.q, free_fall(prev, cfg, system))
 
 
 def passes_acceptance(prev, state, cfg, system, params):
@@ -642,28 +649,50 @@ class TestClosedForm:
     @pytest.mark.parametrize("damped", [False, True])
     def test_contact_that_opens_between_passes(self, damped, damped_params,
                                                monkeypatch):
-        # a body leaves a ceiling: the first midpoint still overlaps it by
-        # h^2 g / 16, less than gravity moves the midpoint in the first
-        # correction, so the next pass finds it on no row; its residual
-        # still holds the spring impulse of the first correction
+        # body 0 closes on body 1, which a stretched bond pulls away: the
+        # free-fall midpoint overlaps them by eps, less than the bond moves
+        # body 1's midpoint in the first correction, so the next pass finds
+        # the pair on no row; body 0's residual still holds the spring
+        # impulse of the first correction
         params = damped_params if damped else UNDAMPED
         cfg = VIConfig(h=T_C / 40, alpha=0.5)
-        h, u, g = cfg.h, 0.01, 1.0
-        ceiling = Wall(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0]))
-        overlap = 0.5 * h * u + h * h * g / 16
-        system = ParticleSystem([[0.0, 0.0, 2.5 + overlap], [5.0, 0.0, 0.0]],
-                                [[0.0, 0.0, -u], [0.3, 0.0, 0.2]],
-                                walls=[ceiling], gravity=g)
+        h, u, eps, stretch = cfg.h, 0.01, 1e-7, 5e-4
+        gap = 0.5 * h * u - eps
+        system = ParticleSystem([[0.0, 0.0, 0.0], [1.0 + gap, 0.0, 0.0],
+                                 [2.0 + gap + stretch, 0.0, 0.0]],
+                                [[u, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                bonds=[Bond(1, 2, k_bond=K_N)], gravity=1.0)
         corrections = spy_corrections(monkeypatch)
         prev = pack_state(system)
         state, report = VIIntegrator(system, params, cfg).step(prev)
         sets = [c[3] for c in corrections]
         assert report.newton_iters >= 2
-        assert sets[0].n_wall == 1 and len(sets[1]) == 0
+        assert (sets[0].n_pp, sets[0].n_bond) == (1, 1)
+        assert (sets[1].n_pp, sets[1].n_bond) == (0, 1)
         assert passes_acceptance(prev, state, cfg, system, params)
-        npt.assert_allclose((state.q - prev.q)[BLOCK:],
-                            free_fall(prev, cfg, system)[BLOCK:],
+        npt.assert_allclose((state.q - prev.q)[:BLOCK],
+                            free_fall(prev, cfg, system)[:BLOCK],
                             rtol=0, atol=1e-15)
+
+    def test_detection_uses_the_free_fall_midpoint(self, monkeypatch):
+        # a body at rest h^2 g / 8 above a floor: the midpoint of h v_k
+        # leaves it there, the free fall's midpoint h^2 g / 8 into it
+        cfg = VIConfig(h=T_C / 40, alpha=0.5)
+        floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        system = ParticleSystem([[0.0, 0.0, 0.5 + cfg.h ** 2 / 8]],
+                                walls=[floor], gravity=1.0)
+        sets = []
+        evaluate = VIIntegrator._residual
+
+        def spy(integ, p_k, delta, explicit, s_mid, *args):
+            sets.append(s_mid)
+            return evaluate(integ, p_k, delta, explicit, s_mid, *args)
+
+        monkeypatch.setattr(VIIntegrator, "_residual", spy)
+        prev = pack_state(system)
+        state, report = VIIntegrator(system, UNDAMPED, cfg).step(prev)
+        assert sets[0].n_wall == 1 and report.n_contacts == 1
+        assert passes_acceptance(prev, state, cfg, system, UNDAMPED)
 
 
 class TestContactsOnly:
@@ -894,13 +923,13 @@ class TestQuasiStatic:
 
     def energy_heights(self, monkeypatch):
         """Log the height each potential energy is evaluated at."""
-        heights, energy = [], forces.potential_energy
+        heights, energy = [], forces.gravity_energy
 
-        def spy(system, contacts, params):
-            heights.append(float(system.pos[0, 2]))
-            return energy(system, contacts, params)
+        def spy(system, z):
+            heights.append(float(z[0]))
+            return energy(system, z)
 
-        monkeypatch.setattr(forces, "potential_energy", spy)
+        monkeypatch.setattr(forces, "gravity_energy", spy)
         return heights
 
     def test_reported_energy_is_the_potential_at_the_result(self):

@@ -3,7 +3,10 @@
 Each run goes the way ``vigrain run`` and ``vigrain scenario`` go:
 parse_config -> build_scenario -> run_simulation -> write_trajectory
 and write_diagnostics. One line per run gives the steps, the Newton
-and CG totals and the sha256 of both CSVs. The runs are the impact,
+and CG totals, the sha256 of both CSVs and a physics hash: the sha256 of
+diagnostics.csv without its solver-work columns (newton_iters and
+cg_iters), so a change that alters only how much the solver works
+prints the same physics hash. The runs are the impact,
 walls (3000 steps) and bonded scenarios with their defaults, and the
 three benchmark configurations at seed 3.
 
@@ -52,6 +55,8 @@ RUNS = (
                                "integrator": "verlet", "seed": 3}, None),
 )
 
+SOLVER_WORK = ("newton_iters", "cg_iters")   # diagnostics.csv columns
+
 
 def fingerprint(doc: dict, steps: int | None, out: Path):
     """The run's summary line and its final (q, p, d)."""
@@ -66,10 +71,21 @@ def fingerprint(doc: dict, steps: int | None, out: Path):
                                result.diagnostics)):
         write(rows, out / name)
         digests.append(f"{name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}")
+    digests.append(f"physics {physics_hash(out / 'diagnostics.csv')}")
     line = (f"{result.steps} steps, {result.newton_iters} Newton, "
             f"{result.cg_iters} CG, " + ", ".join(digests))
     state = result.final_state
     return line, state.q, state.p, float(result.final_system.d[0])
+
+
+def physics_hash(path: Path) -> str:
+    """sha256 of a diagnostics CSV without its solver-work columns."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    keep = [k for k, name in enumerate(header) if name not in SOLVER_WORK]
+    text = "".join(",".join(cells[k] for k in keep) + "\n"
+                   for cells in (line.split(",") for line in lines))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def stem(label: str) -> str:
