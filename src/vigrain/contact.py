@@ -305,13 +305,20 @@ class ContactSet:
         """The 6-DOF indices of the bodies on some row, and the same rows
         renumbered onto those bodies; built once. The ghost's id follows
         every body's, so it stays the ghost in the new numbering. A set
-        with no row couples nothing: every such set shares one answer."""
+        with no row couples nothing: every such set shares one answer. With
+        every body on a row the ids stay, on a new set: one that held
+        itself would be freed only by the cycle collector."""
         if self._coupled is None and not len(self):
             self._coupled = _UNCOUPLED
         if self._coupled is None:
             on_row = np.zeros(self.n_bodies + 1, dtype=bool)
             on_row[self.i] = on_row[self.j] = True
             bodies = on_row[:self.n_bodies].nonzero()[0]
+            if bodies.size == self.n_bodies:   # every body: the ids stay
+                self._coupled = np.arange(BLOCK * self.n_bodies), ContactSet(
+                    self.n_bodies, self.i, self.j, self.delta, self.normal,
+                    self.arm, self.m_eff, self.k, self.n_pp)
+                return self._coupled
             # a body's new id is its rank among the coupled bodies; the
             # ghost, above them all, gets bodies.size
             rows = ContactSet(bodies.size, np.searchsorted(bodies, self.i),

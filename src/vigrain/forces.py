@@ -149,6 +149,19 @@ def nonconservative_force(system: ParticleSystem, contacts: ContactSet,
                     np.asarray(velocity, dtype=float))
 
 
+def coupled_forces(system: ParticleSystem, contacts: ContactSet,
+                   params: ContactParams, velocity=None, gradient: bool = True):
+    """(dofs, -grad V, Q) of a set's rows, both steppers' force evaluation:
+    the 6-DOF indices of the bodies they couple (ContactSet.coupled) and
+    both forces on those alone, Q at velocity(dofs). -grad V is None
+    without gradient, Q without a velocity or a row."""
+    dofs, rows = contacts.coupled()
+    neg_grad = -potential_gradient(system, rows, params) if gradient else None
+    damping = (nonconservative_force(system, rows, velocity(dofs), params)
+               if velocity is not None and len(rows) else None)
+    return dofs, neg_grad, damping
+
+
 def dQ_dv(system: ParticleSystem, contacts: ContactSet,
           params: ContactParams) -> BlockSparseMatrix:
     """Jacobian of the damping force with respect to the 6N velocity vector.

@@ -82,8 +82,8 @@ def run_simulation(system: ParticleSystem, spec: ScenarioSpec) -> RunResult:
         try:
             state, report = stepper.step(state)
         except VigrainError as exc:
-            exc.step, exc.t = step, state.t
-            exc.args = (f"{exc} (step {step}, t = {state.t!r})", *exc.args[1:])
+            exc.step, exc.t = step, float(state.t)
+            exc.args = (f"{exc} (step {step}, t = {exc.t!r})", *exc.args[1:])
             raise
         result.steps = step
         result.newton_iters += report.newton_iters

@@ -54,7 +54,7 @@ coupled, since a body a correction moved while coupled keeps a
 residual after its contact opens. Off them D_0 is exact and r is zero,
 so a contact-free step is accepted at its initial guess. The gradient
 and the damping force are evaluated on the rows renumbered onto the
-coupled bodies (ContactSet.coupled), and after a correction on a fixed
+coupled bodies (forces.coupled_forces), and after a correction on a fixed
 set r is kept on the coupled DOFs only. Only D, q, p and the initial
 guess span all 6N DOFs; the dot products and norms of CG, of its
 tolerance and of the acceptance test run on the active DOFs.
@@ -199,12 +199,10 @@ class VIIntegrator:
             return (self.contacts_at(q_k) if self.cfg.alpha == 0.0 else None,
                     None)
         s_k = self.contacts_at(q_k)
-        if not len(s_k):
-            return s_k, None
-        dofs, rows = s_k.coupled()
-        vel = p_k[dofs] / self.mass[dofs]
-        return s_k, (dofs, _forces.nonconservative_force(self.system, rows, vel,
-                                                         self.params))
+        dofs, _, damping = _forces.coupled_forces(
+            self.system, s_k, self.params, lambda at: p_k[at] / self.mass[at],
+            gradient=False)
+        return s_k, None if damping is None else (dofs, damping)
 
     def _residual(self, p_k, delta, explicit, s_mid: ContactSet, act, q_minus=None):
         """Step residual at the displacement delta on the midpoint set s_mid,
@@ -216,18 +214,18 @@ class VIIntegrator:
         On a body no row of s_mid touches the residual is
         p_k - M delta / h less gravity's h (1-a) m g; the rows' terms are
         evaluated on the renumbered rows of s_mid.coupled(). Returns
-        (r on act, grad V(q_mid) on the coupled DOFs, max |grad V| and
+        (r on act, -grad V(q_mid) on the coupled DOFs, max |grad V| and
         max |Q(s_mid, delta / h)| there)."""
         h = self.cfg.h
-        dofs, rows = s_mid.coupled()
         if not act.size:   # no row: the residual has no active DOF
-            return act, dofs, (0.0, 0.0)
-        grad_c = _forces.potential_gradient(self.system, rows, self.params)
-        if q_minus is None and self._damped:
-            q_minus = _forces.nonconservative_force(self.system, rows,
-                                                    delta[dofs] / h, self.params)
+            return act, act, (0.0, 0.0)
+        dofs, neg_grad, damping = _forces.coupled_forces(
+            self.system, s_mid, self.params,
+            None if q_minus is not None or not self._damped
+            else lambda at: delta[at] / h)
+        q_minus = damping if q_minus is None else q_minus
         r_c = (p_k[dofs] - self.mass[dofs] * delta[dofs] / h
-               - (h * (1.0 - self.cfg.alpha)) * grad_c)
+               + (h * (1.0 - self.cfg.alpha)) * neg_grad)
         q_scale = 0.0
         if q_minus is not None:
             r_c += (0.5 * h) * q_minus
@@ -243,7 +241,7 @@ class VIIntegrator:
             at = (slice(None) if explicit[0].size == act.size
                   else np.searchsorted(act, explicit[0]))
             r[at] += (0.5 * h) * explicit[1]
-        return r, grad_c, (float(np.abs(grad_c).max(initial=0.0)), q_scale)
+        return r, neg_grad, (float(np.abs(neg_grad).max(initial=0.0)), q_scale)
 
     # -- one implicit step ---------------------------------------------------
 
@@ -270,7 +268,7 @@ class VIIntegrator:
         if explicit is not None:
             act = _union(explicit[0], act)
         # at alpha = 0, Q(s_k, delta_0 / h) is Q(s_k, v_k)
-        r, grad_c, (g_scale, q_scale) = self._residual(
+        r, neg_grad, (g_scale, q_scale) = self._residual(
             p_k, delta, explicit, s_mid, act,
             explicit[1] if frozen and explicit is not None else None)
         k_set = None     # the contact set -K was built from
@@ -308,7 +306,7 @@ class VIIntegrator:
                 p_next /= h
                 if alpha != 0.0:
                     dofs = s_mid.coupled()[0]
-                    p_c = p_next[dofs] - h * alpha * grad_c
+                    p_c = p_next[dofs] + h * alpha * neg_grad
                     if self._mid_gravity is not None:
                         p_next[2::BLOCK] -= self._mid_gravity
                     p_next[dofs] = p_c
@@ -333,7 +331,7 @@ class VIIntegrator:
             else:
                 s_mid = self.contacts_at(q_k + alpha * delta)
                 act = _union(act, s_mid.coupled()[0])
-                r, grad_c, (g_scale, q_scale) = self._residual(
+                r, neg_grad, (g_scale, q_scale) = self._residual(
                     p_k, delta, explicit, s_mid, act)
                 scale = max(g_scale, q_scale, fixed_scale)
 

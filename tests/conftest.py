@@ -108,6 +108,19 @@ def random_system(seed, n=None, walls=False, bonds=False, gravity=0.0,
     return system
 
 
+def sparse_contacts() -> ParticleSystem:
+    """600 bodies in a loose grid under gravity, with two contact rows:
+    body 0 on the floor and body 2 touching body 1; random velocities."""
+    grid = np.stack(np.meshgrid(*[np.arange(k) * 2.0 for k in (10, 10, 6)],
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    pos = grid + [0.0, 0.0, 5.0]
+    pos[0] = [0.0, 0.0, 0.45]             # on the floor
+    pos[2] = pos[1] + [0.0, 0.0, 0.95]    # touching body 1
+    floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    vel = np.random.default_rng(0).normal(size=pos.shape)
+    return ParticleSystem(pos, vel, walls=[floor], gravity=1.0)
+
+
 @pytest.fixture
 def damped_params():
     """gamma = 30 with unit mass: gamma_n = 15, gamma_t = 7.5."""

@@ -85,15 +85,20 @@ def test_convergence_prints_slopes(capsys):
 
 def test_run_step_failure_names_step_and_time(tmp_path, capsys, monkeypatch):
     # with d + 1e-6 between its walls, the particle touches one at the
-    # midpoint of its first step, which then needs a correction
+    # midpoint of its first step, which then needs a correction; at
+    # 100 d/s it first touches one in step 3, when t is a numpy float,
+    # printed as a plain number
     monkeypatch.setattr(vi, "NEWTON_MAX", 0)
     path = tmp_path / "walls.json"
-    path.write_text(json.dumps({"scenario": "walls", "gap": 1.000001}))
-    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: Newton did not converge")
-    assert err.endswith("(step 1, t = 0.0)")
+    for doc, where in (({"scenario": "walls", "gap": 1.000001}, "(step 1, t = 0.0)"),
+                       ({"scenario": "walls", "v": 100},
+                        "(step 3, t = 6.288217895336978e-05)")):
+        path.write_text(json.dumps(doc))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: Newton did not converge")
+        assert err.endswith(where)
 
 
 @pytest.mark.parametrize("command", ["run", "scenario"])

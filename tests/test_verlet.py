@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vigrain import (ContactParams, GeneralizedState, NonFiniteStateError,
-                     ParticleSystem, VIConfig, VIIntegrator, VerletIntegrator,
-                     assemble_mass_matrix, build_impact, build_walls, contact,
-                     detect_contacts, detect_contacts_brute_force, forces,
-                     pack_state, total_energy, unpack_state)
+from vigrain import (Bond, ContactParams, GeneralizedState, NeighborList,
+                     NonFiniteStateError, ParticleSystem, VIConfig, VIIntegrator,
+                     VerletIntegrator, Wall, assemble_mass_matrix, build_impact,
+                     build_walls, contact, detect_contacts,
+                     detect_contacts_brute_force, forces, pack_state,
+                     total_energy, unpack_state)
 from vigrain.forces import contact_time
+from vigrain.linsolve import BLOCK
 
-from conftest import count_calls
+from conftest import count_calls, sparse_contacts
 
 K_N = 195000.0
 T_C = contact_time(K_N)
@@ -206,3 +210,96 @@ def test_vi_and_verlet_converge_to_each_other():
 def test_time_step_guard(h):
     with pytest.raises(ValueError, match="time step"):
         VerletIntegrator(ParticleSystem([[0, 0, 0]]), UNDAMPED, h)
+
+
+def every_row_kind(gravity):
+    """Seven unequal bodies with spin: a Hookean pair (0, 1) whose body 1
+    also rests on the floor, a stretched bond (2, 3), body 4 on the
+    floor, and bodies 5 and 6 on no row, body 6 with -0.0 in its x and y
+    velocity and in its x and z spin."""
+    pos = [[0.0, 0.0, 0.49], [0.99, 0.0, 0.495], [4.0, 0.0, 2.0],
+           [5.02, 0.0, 2.0], [8.0, 0.0, 0.497], [0.0, 5.0, 3.0],
+           [4.0, 5.0, 3.0]]
+    rng = np.random.default_rng(7)
+    vel, omega = 0.3 * rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    vel[6], omega[6] = [-0.0, -0.0, 0.4], [-0.0, 0.0, -0.0]
+    floor = Wall(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    return ParticleSystem(pos, vel, omega, m=rng.uniform(0.5, 2.0, 7),
+                          walls=[floor], bonds=[Bond(2, 3, 5e4)],
+                          gravity=gravity)
+
+
+@pytest.mark.parametrize("gravity", [0.0, 1.0])
+@pytest.mark.parametrize("damped", [False, True])
+def test_step_is_the_kick_over_all_dofs_bit_for_bit(damped, gravity):
+    # the kicks work on the coupled rows and give free bodies their free
+    # fall; kick-drift-kick over all 6N DOFs on the whole set, as written
+    # here, must give the same bits, signs of zeros included
+    system = every_row_kind(gravity)
+    params = (ContactParams.from_damping_ratio(30.0, 1.0) if damped
+              else UNDAMPED)
+    h = T_C / 40
+    mass = assemble_mass_matrix(system)
+    nlist = NeighborList.build(system)
+
+    def force(q, v):
+        contacts = nlist.contacts_at(q)
+        f = -forces.potential_gradient(system, contacts, params)
+        if damped:
+            f = f + forces.nonconservative_force(system, contacts, v, params)
+        return f
+
+    integ = VerletIntegrator(system, params, h)
+    state = want = pack_state(system)
+    rows = nlist.contacts_at(state.q)
+    assert (rows.n_pp, rows.n_bond, rows.n_wall) == (1, 1, 3)
+    for _ in range(4):   # later steps reuse the last kick's gradient
+        v = want.p / mass
+        v_half = v + 0.5 * h * (force(want.q, v) / mass)
+        q_new = want.q + h * v_half
+        v_new = v_half + 0.5 * h * (force(q_new, v_half) / mass)
+        want = GeneralizedState(q=q_new, p=mass * v_new, t=0.0)
+        state, _ = integ.step(state)
+        assert state.q.tobytes() == want.q.tobytes()
+        assert state.p.tobytes() == want.p.tobytes()
+    # the signed zeros kept: the full kick adds -grad V = -0.0 to a free
+    # body's x, y and spin, and Q = +0.0 when damped, so -0.0 stays -0.0
+    # undamped and turns +0.0 damped
+    free = state.p[6 * BLOCK:]
+    assert np.signbit(free[[0, 1, 3, 5]]).tolist() == [not damped] * 4
+    assert free[[0, 1, 3, 4, 5]].tolist() == [0.0] * 5
+
+
+class TestContactsOnly:
+    def test_step_does_no_whole_system_work(self, monkeypatch):
+        # 600 bodies, one touching pair and one on the floor: no per-body
+        # sum is as long as the 6N DOFs, and beside its two fresh 6N
+        # outputs the step holds less than one more 6N vector (28.8 kB):
+        # detection's displacement check, 3N floats, and row-sized arrays
+        bound = 24 * 1024
+        system = sparse_contacts()
+        params = ContactParams.from_damping_ratio(30.0, 1.0)
+        n_dofs = BLOCK * system.n
+        integ = VerletIntegrator(system, params, T_C / 40)
+        state, _ = integ.step(pack_state(system))   # contacts at state.q held
+        bincounts = []
+        bincount = np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            bincounts.append(minlength)
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            state, report = integ.step(state)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert report.n_contacts == 2 and bincounts
+        assert max(bincounts) < n_dofs
+        outputs = state.q.nbytes + state.p.nbytes
+        assert peak <= outputs + bound, (peak, outputs)

@@ -147,7 +147,12 @@ def step_calls(tree: Tree, q, p, k: int):
         vi.nlist._q = vi.nlist._contacts = None
 
     def verlet_at_q_k():
-        verlet._force(state.q, state.p / verlet.mass)
+        # the contacts and gradient at q_k, as the step before leaves them
+        v = state.p / verlet.mass
+        if hasattr(verlet, "_kick"):
+            verlet._kick(state.q, v, np.empty_like(v))
+        else:   # a tree whose kicks span all 6N DOFs
+            verlet._force(state.q, v)
 
     return ((lambda: vi.step(state), forget),
             (lambda: verlet.step(state), verlet_at_q_k),
